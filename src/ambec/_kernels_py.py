@@ -6,11 +6,9 @@ lives in _kernels_c; _kernels picks whichever is importable.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-SQRT2 = math.sqrt(2.0)
+from .core import SQRT2
 
 
 def _rhs(pa, pm, g_a, g_m, g_am, alpha, epsilon):

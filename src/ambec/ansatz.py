@@ -167,6 +167,28 @@ def half_width_99(record: SolutionRecord) -> float:
     return math.acosh(math.sqrt(c))
 
 
+def truncation_report(record: SolutionRecord, grid: Grid,
+                      phi_a, phi_m) -> list[str]:
+    """One message per profile that has not decayed at the grid edges.
+
+    phi_a and phi_m are the record's profiles already sampled on the grid; a
+    profile is truncated when its edge-to-peak ratio exceeds GRID_ADEQUACY.
+    """
+    edges = np.array([grid.x_min, grid.x_max])
+    problems = []
+    for name, family, amp, prof in (("atomic", record.family, record.A, phi_a),
+                                    ("molecular", "I", record.D, phi_m)):
+        peak = float(np.max(np.abs(prof)))
+        boundary = float(np.max(np.abs(
+            rational_profile(family, amp, record.B, record.beta, edges))))
+        if peak > 0 and boundary > GRID_ADEQUACY * peak:
+            problems.append(
+                f"{name} profile is {boundary:.3e} at the grid edge "
+                f"({boundary / peak:.3e} of its peak, limit {GRID_ADEQUACY:g}); "
+                "widen the grid")
+    return problems
+
+
 def sample_fields(record: SolutionRecord, grid: Grid, t: float = 0.0) -> FieldPair:
     """Sample the analytic solution onto a grid at time t.
 
@@ -177,17 +199,8 @@ def sample_fields(record: SolutionRecord, grid: Grid, t: float = 0.0) -> FieldPa
     x = grid.x()
     phi_a = rational_profile(record.family, record.A, record.B, record.beta, x)
     phi_m = rational_profile("I", record.D, record.B, record.beta, x)
-    edge_a = rational_profile(record.family, record.A, record.B, record.beta,
-                              np.array([grid.x_min, grid.x_max]))
-    edge_m = rational_profile("I", record.D, record.B, record.beta,
-                              np.array([grid.x_min, grid.x_max]))
-    for name, prof, edge in (("atomic", phi_a, edge_a), ("molecular", phi_m, edge_m)):
-        peak = float(np.max(np.abs(prof)))
-        boundary = float(np.max(np.abs(edge)))
-        if peak > 0 and boundary > GRID_ADEQUACY * peak:
-            warnings.warn(TruncationWarning(
-                f"{name} profile is {boundary:.3e} at the grid edge "
-                f"({boundary / peak:.3e} of its peak); widen the grid"))
+    for problem in truncation_report(record, grid, phi_a, phi_m):
+        warnings.warn(TruncationWarning(problem))
     psi_a = phi_a * np.exp(-1j * record.mu * t)
     psi_m = phi_m * np.exp(-2j * record.mu * t)
     return FieldPair(grid, psi_a, psi_m, t=t)

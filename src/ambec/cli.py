@@ -38,7 +38,8 @@ def _load_record(path: str) -> SolutionRecord:
 
 
 def _grid_for(record: SolutionRecord, args, power_of_two: bool) -> Grid:
-    L = args.grid_l if args.grid_l is not None else max(20.0, 40.0 / record.beta)
+    L = (args.grid_l if args.grid_l is not None
+         else dynamics.default_half_width(record.beta))
     if power_of_two:
         return dynamics.make_grid(L, args.grid_n)
     return Grid(-L, L, args.grid_n)
@@ -170,7 +171,7 @@ def cmd_wigner(args) -> RunManifest:
         def profile(x):
             return ansatz.rational_profile(fam, amp, B, beta, x)
 
-        default_l = max(20.0, 40.0 / beta)
+        default_l = dynamics.default_half_width(beta)
     else:
         if args.kind is None or args.beta is None or args.delta is None:
             raise ConfigurationError(
@@ -230,7 +231,7 @@ def cmd_scan(args) -> RunManifest:
         beta = math.sqrt(-mu / 2.0)
         record = consistency.solve_family_I(args.g_a, args.g_am, args.alpha,
                                             beta, tol=args.tol)
-        grid = dynamics.make_grid(max(20.0, 40.0 / beta), args.grid_n)
+        grid = dynamics.default_grid(beta, args.grid_n)
         peak = (record.A / (record.B + 1.0)) ** 2
         rows.append((mu, peak, ansatz.half_width_99(record),
                      potentials.flatness_metric(record, grid),

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .core import CouplingParams, SolutionRecord, validate_params
+from .core import (SQRT2, CouplingParams, SolutionRecord, nonfinite,
+                   require_finite, validate_params)
 from .errors import (ConfigurationError, ConvergenceError,
                      InconsistentRootError, NoDropletError, NoRootFoundError,
                      OutOfScopeRegimeError, OutOfScopeRootError,
                      SingularParameterError)
-
-SQRT2 = math.sqrt(2.0)
 
 DEFAULT_TOL = 1e-9
 
@@ -49,88 +48,113 @@ def default_tol() -> float:
         raise ConfigurationError(f"AMBEC_TOL={raw!r} is not a number") from None
 
 
-@dataclass(frozen=True)
-class GammaIntermediates:
-    """Intermediates expressing D through B: D = Gamma*B + C (C = 0 for II)."""
+def _resolve_tol(tol: float | None) -> float:
+    """The explicit tol, else default_tol(); either way it must be finite."""
+    tol = default_tol() if tol is None else tol
+    require_finite(tol=tol)
+    return tol
 
-    Gamma: float
-    C: float
+
+def _require_admissible(params: CouplingParams, family: str, **values) -> None:
+    """Raise unless params suit the family (epsilon aside) and the values are finite."""
+    bad = validate_params(replace(params, epsilon=None), family) + nonfinite(**values)
+    if bad:
+        raise ConfigurationError("; ".join(bad))
 
 
-def gamma_intermediates(family: str, params: CouplingParams, mu: float,
-                        epsilon: float, *, strict: bool = True) -> GammaIntermediates:
-    """Compute the family II/III elimination intermediates.
+#: sign scope of family II/III seeds and roots, as _in_sign_scope tests it
+_SIGN_SCOPE = {"II": "mu < 0 and epsilon < 0", "III": "mu < 0"}
 
-    strict=True raises on a (near-)singular denominator; strict=False lets
-    infinities flow so residual probes stay total.
-    """
+
+def _in_sign_scope(family: str, mu: float, eps: float) -> bool:
+    return mu < 0.0 and (family == "III" or eps < 0.0)
+
+
+def _gamma_den_terms(family: str, params: CouplingParams, eps):
+    """Terms of the denominator shared by Gamma and C."""
     al, ga, gam = params.alpha, params.g_a, params.g_am
     if family == "II":
-        terms = (2.0 * gam * epsilon, -3.0 * ga * epsilon, 3.0 * al * al)
-    elif family == "III":
-        terms = (2.0 * gam * epsilon, -ga * epsilon, al * al)
-    else:
-        raise ConfigurationError("family I has no elimination intermediates")
-    den = math.fsum(terms)
-    scale = sum(abs(t) for t in terms)
-    if strict and (scale == 0.0 or abs(den) < 1e-12 * scale):
-        raise SingularParameterError(
-            f"family {family} denominator {den:.3e} is singular at "
-            f"epsilon={epsilon!r}")
-    if den == 0.0:
-        return GammaIntermediates(math.inf, math.inf if family == "III" else 0.0)
+        return 2.0 * gam * eps, -3.0 * ga * eps, 3.0 * al * al
+    return 2.0 * gam * eps, -ga * eps, al * al
+
+
+def _gamma_and_C(family: str, params: CouplingParams, mu, eps):
+    """Gamma and C of the elimination D = Gamma*B + C (C = 0 for family II).
+
+    Accepts scalars or arrays.  Summing the denominator left to right for
+    every caller lets the solver expand a root with the very Gamma whose
+    conditions Newton zeroed.  Never raises: a zero denominator gives inf/nan.
+    """
+    al = params.alpha
+    mu = np.asarray(mu, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1, t2, t3 = _gamma_den_terms(family, params, eps)
+        den = t1 + t2 + t3
+        if family == "II":
+            return SQRT2 * (eps + 6.0 * mu) * al / den, 0.0
+        return SQRT2 * (eps - 2.0 * mu) * al / den, SQRT2 * eps * al / den
+
+
+def _b_forms(family: str, params: CouplingParams, mu, eps, G, C):
+    """The relations for B at (mu, epsilon), given Gamma and C there.
+
+    Returns (forms, quadratics), keyed by relation: the closed forms of B as
+    (numerator, denominator) pairs, primary first (A15-A17 for family II, A23
+    for III), and family III's A24/A25 quadratics in B as (a, b, c) triples.
+    """
+    al, ga, gm, gam = params.alpha, params.g_a, params.g_m, params.g_am
+    two = 2.0 * mu - eps
+    den = (al * al - ga * eps) * G - 4.0 * SQRT2 * mu * al
     if family == "II":
-        return GammaIntermediates(SQRT2 * (epsilon + 6.0 * mu) * al / den, 0.0)
-    return GammaIntermediates(SQRT2 * (epsilon - 2.0 * mu) * al / den,
-                              SQRT2 * epsilon * al / den)
+        return {
+            "A15": (SQRT2 * mu * al, den),
+            "A16": (mu, two - gm * G * G),
+            "A17": (-8.0 * mu * al,
+                    gam * al * G * G + SQRT2 * ga * eps * G + 8.0 * mu * al),
+        }, {}
+    return {
+        "A23": (3.0 * SQRT2 * mu * al + (ga * eps - al * al) * C, den),
+    }, {
+        "A24": (gm * G * G - two,
+                2.0 * gm * G * C - 5.0 * mu + 2.0 * eps,
+                gm * C * C - (3.0 * mu - eps)),
+        "A25": (gam * al * G * G + 8.0 * mu * al + SQRT2 * ga * eps * G,
+                2.0 * gam * al * G * C + SQRT2 * ga * eps * (G + C) + 8.0 * mu * al,
+                gam * al * C * C + SQRT2 * ga * eps * C),
+    }
 
 
 def _sum_and_scale(*terms):
     """Signed sum of the terms and the sum of their magnitudes."""
-    s = terms[0]
-    m = np.abs(terms[0])
+    s, m = terms[0], np.abs(terms[0])
     for t in terms[1:]:
-        s = s + t
-        m = m + np.abs(t)
+        s, m = s + t, m + np.abs(t)
     return s, m
 
 
-def _parts_family_II(params: CouplingParams, mu, epsilon):
-    """Raw family II conditions and their term-magnitude scales."""
-    al, ga, gm, gam = params.alpha, params.g_a, params.g_m, params.g_am
-    mu = np.asarray(mu, dtype=float)
-    epsilon = np.asarray(epsilon, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = 2.0 * gam * epsilon - 3.0 * ga * epsilon + 3.0 * al * al
-        G = SQRT2 * (epsilon + 6.0 * mu) * al / den
-        f1, s1 = _sum_and_scale(SQRT2 * gm * al * G * G,
-                                (al * al - ga * epsilon) * G,
-                                -SQRT2 * al * (6.0 * mu - epsilon))
-        f2, s2 = _sum_and_scale(gam * al * G * G,
-                                SQRT2 * (4.0 * al * al - 3.0 * ga * epsilon) * G,
-                                -24.0 * mu * al)
-    return f1, f2, s1, s2
+def _condition_parts(family: str, params: CouplingParams, mu, epsilon):
+    """Raw family II/III conditions and their term-magnitude scales.
 
-
-def _parts_family_III(params: CouplingParams, mu, epsilon):
-    """Raw family III conditions (B eliminated) and their scales."""
+    Family II's two conditions need only Gamma; family III's are its A24/A25
+    quadratics evaluated at the A23 form of B.
+    """
     al, ga, gm, gam = params.alpha, params.g_a, params.g_m, params.g_am
-    mu = np.asarray(mu, dtype=float)
-    epsilon = np.asarray(epsilon, dtype=float)
+    G, C = _gamma_and_C(family, params, mu, epsilon)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = 2.0 * gam * epsilon - ga * epsilon + al * al
-        G = SQRT2 * (epsilon - 2.0 * mu) * al / den
-        C = SQRT2 * epsilon * al / den
-        dB = (al * al - ga * epsilon) * G - 4.0 * SQRT2 * mu * al
-        B = (3.0 * SQRT2 * mu * al + (ga * epsilon - al * al) * C) / dB
-        two = 2.0 * mu - epsilon
-        f1, s1 = _sum_and_scale(B * B * (gm * G * G - two),
-                                B * (2.0 * gm * G * C - 5.0 * mu + 2.0 * epsilon),
-                                gm * C * C - (3.0 * mu - epsilon))
-        f2, s2 = _sum_and_scale(
-            B * B * (gam * al * G * G + 8.0 * mu * al + SQRT2 * ga * epsilon * G),
-            B * (2.0 * gam * al * G * C + SQRT2 * ga * epsilon * (G + C) + 8.0 * mu * al),
-            gam * al * C * C + SQRT2 * ga * epsilon * C)
+        if family == "II":
+            f1, s1 = _sum_and_scale(SQRT2 * gm * al * G * G,
+                                    (al * al - ga * epsilon) * G,
+                                    -SQRT2 * al * (6.0 * mu - epsilon))
+            f2, s2 = _sum_and_scale(gam * al * G * G,
+                                    SQRT2 * (4.0 * al * al - 3.0 * ga * epsilon) * G,
+                                    -24.0 * mu * al)
+            return f1, f2, s1, s2
+        forms, quads = _b_forms(family, params, mu, epsilon, G, C)
+        num, den = forms["A23"]
+        B = num / den
+        (f1, s1), (f2, s2) = (_sum_and_scale(B * B * a, B * b, c)
+                              for a, b, c in quads.values())
     return f1, f2, s1, s2
 
 
@@ -141,13 +165,13 @@ def conditions_family_II(params: CouplingParams, mu, epsilon):
     keeps values O(1) so one tolerance fits every parameter scale.
     Accepts scalars or arrays.
     """
-    f1, f2, s1, s2 = _parts_family_II(params, mu, epsilon)
+    f1, f2, s1, s2 = _condition_parts("II", params, mu, epsilon)
     return f1 / (1.0 + s1), f2 / (1.0 + s2)
 
 
 def conditions_family_III(params: CouplingParams, mu, epsilon):
     """The two quadratic-in-B family III conditions, normalized as in II."""
-    f1, f2, s1, s2 = _parts_family_III(params, mu, epsilon)
+    f1, f2, s1, s2 = _condition_parts("III", params, mu, epsilon)
     return f1 / (1.0 + s1), f2 / (1.0 + s2)
 
 
@@ -176,15 +200,12 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
     weights = np.where(np.isfinite(scale), 1.0 / (1.0 + scale), 1.0)
 
     def merit(r):
-        x = weights * r
-        if not np.all(np.isfinite(x)):
-            return math.inf
-        return float(np.max(np.abs(x)))
+        x = np.abs(weights * r)
+        return float(np.max(x)) if np.all(np.isfinite(x)) else math.inf
 
     def converged(r, s):
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
-            return False
-        return float(np.max(np.abs(r) / (1.0 + s))) < tol
+        return bool(np.all(np.isfinite(r)) and np.all(np.isfinite(s))
+                    and np.max(np.abs(r) / (1.0 + s)) < tol)
 
     polish_left = 3
     best = merit(raw)
@@ -201,8 +222,7 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
         J = np.empty((2, 2))
         for j in range(2):
             h = 1e-7 * max(1.0, abs(v[j]))
-            e = np.zeros(2)
-            e[j] = h
+            e = h * np.eye(2)[j]
             hi, _ = combine(v + e)
             lo, _ = combine(v - e)
             J[:, j] = weights * (hi - lo) / (2.0 * h)
@@ -290,41 +310,30 @@ def _equations(record: SolutionRecord, params: CouplingParams) -> dict:
             "A9": eq(gm, -(ga - gam) / 2.0),
         }
 
-    inter = gamma_intermediates(record.family, params, mu, eps, strict=False)
-    G, C = inter.Gamma, inter.C
+    G, C = map(float, _gamma_and_C(record.family, params, mu, eps))
+    forms, quads = _b_forms(record.family, params, mu, eps, G, C)
     two = 2.0 * mu - eps
     if record.family == "II":
-        d15 = (al * al - ga * eps) * G - 4.0 * SQRT2 * mu * al
-        d16 = two - gm * G * G
-        d17 = gam * al * G * G + SQRT2 * ga * eps * G + 8.0 * mu * al
-        return {
+        rel = {
             "A10": eq(two * D, D * b2, -al * A2 / SQRT2),
             "A11": eq(gam * A2, -two * B, 0.5 * (3.0 + 4.0 * B) * b2),
             "A12": eq(gm * D2, -two * B * B, -0.5 * B * b2),
             "A13": eq(mu, 0.5 * b2),
             "A13b": eq(ga * A2, SQRT2 * al * D, (1.0 + 4.0 * B) * b2),
             "A14": eq(gam * D2, -B * ga * A2, -4.0 * B * (B + 1.0) * b2),
-            "A15": eq(B, -_safe_div(SQRT2 * mu * al, d15)),
-            "A16": eq(B, -_safe_div(mu, d16)),
-            "A17": eq(B, _safe_div(8.0 * mu * al, d17)),
         }
-
-    d23 = (al * al - ga * eps) * G - 4.0 * SQRT2 * mu * al
-    return {
-        "A18": eq(two * D, D * b2, -al * A2 / SQRT2),
-        "A19": eq(gam * A2, -two * (B + 1.0), 0.5 * (1.0 + 4.0 * B) * b2),
-        "A20": eq(gm * D2, -two * (B + 1.0) ** 2, 0.5 * (B + 1.0) * b2),
-        "A21": eq(mu, 0.5 * b2),
-        "A21b": eq(ga * A2, SQRT2 * al * D, (3.0 + 4.0 * B) * b2),
-        "A22": eq(gam * D2, -(1.0 + B) * ga * A2, -4.0 * B * (B + 1.0) * b2),
-        "A23": eq(B, -_safe_div(3.0 * SQRT2 * mu * al + (ga * eps - al * al) * C, d23)),
-        "A24": eq(B * B * (gm * G * G - two),
-                  B * (2.0 * gm * G * C - 5.0 * mu + 2.0 * eps),
-                  gm * C * C - (3.0 * mu - eps)),
-        "A25": eq(B * B * (gam * al * G * G + 8.0 * mu * al + SQRT2 * ga * eps * G),
-                  B * (2.0 * gam * al * G * C + SQRT2 * ga * eps * (G + C) + 8.0 * mu * al),
-                  gam * al * C * C + SQRT2 * ga * eps * C),
-    }
+    else:
+        rel = {
+            "A18": eq(two * D, D * b2, -al * A2 / SQRT2),
+            "A19": eq(gam * A2, -two * (B + 1.0), 0.5 * (1.0 + 4.0 * B) * b2),
+            "A20": eq(gm * D2, -two * (B + 1.0) ** 2, 0.5 * (B + 1.0) * b2),
+            "A21": eq(mu, 0.5 * b2),
+            "A21b": eq(ga * A2, SQRT2 * al * D, (3.0 + 4.0 * B) * b2),
+            "A22": eq(gam * D2, -(1.0 + B) * ga * A2, -4.0 * B * (B + 1.0) * b2),
+        }
+    rel.update((k, eq(B, -_safe_div(num, den))) for k, (num, den) in forms.items())
+    rel.update((k, eq(B * B * a, B * b, c)) for k, (a, b, c) in quads.items())
+    return rel
 
 
 def check_consistency(record: SolutionRecord,
@@ -335,30 +344,26 @@ def check_consistency(record: SolutionRecord,
     probe a record against them.  Never raises; singular expressions show up
     as inf/nan residuals.
     """
-    if params is None:
-        params = record.params
-    return {k: r for k, (r, _) in _equations(record, params).items()}
+    return {k: r for k, (r, _) in _equations(record, params or record.params).items()}
 
 
 def normalized_residuals(record: SolutionRecord,
                          params: CouplingParams | None = None) -> dict:
     """|residual| / (1 + term magnitudes) per relation: scale-free residuals."""
-    if params is None:
-        params = record.params
-    return {k: abs(r) / (1.0 + s) for k, (r, s) in _equations(record, params).items()}
+    eqs = _equations(record, params or record.params)
+    return {k: abs(r) / (1.0 + s) for k, (r, s) in eqs.items()}
 
 
 def _verified(record: SolutionRecord, tol: float) -> SolutionRecord:
     """Gate a candidate record on its normalized residuals; stamp the raw max."""
     eqs = _equations(record, record.params)
-    worst_key = max(eqs, key=lambda k: abs(eqs[k][0]) / (1.0 + eqs[k][1]))
-    worst = abs(eqs[worst_key][0]) / (1.0 + eqs[worst_key][1])
-    if not worst < tol:
+    norm = {k: abs(r) / (1.0 + s) for k, (r, s) in eqs.items()}
+    worst = max(norm, key=norm.get)
+    if not norm[worst] < tol:
         raise InconsistentRootError(
-            f"converged root fails relation {worst_key}: normalized residual "
-            f"{worst:.3e} exceeds tolerance {tol:g}")
-    raw_max = max(abs(r) for r, _ in eqs.values())
-    return replace(record, residual_max=raw_max)
+            f"converged root fails relation {worst}: normalized residual "
+            f"{norm[worst]:.3e} exceeds tolerance {tol:g}")
+    return replace(record, residual_max=max(abs(r) for r, _ in eqs.values()))
 
 
 def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
@@ -368,6 +373,8 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
     mu = -2 beta^2, epsilon = -3 beta^2, A^2 = D^2 with D opposite in sign
     to alpha, and g_m = (g_a - g_am)/2.
     """
+    tol = _resolve_tol(tol)
+    require_finite(g_a=g_a, g_am=g_am, alpha=alpha, beta=beta)
     if alpha == 0.0:
         raise ConfigurationError("family I needs alpha != 0")
     if not beta > 0.0:
@@ -375,7 +382,6 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
     if g_a + g_am == 0.0:
         raise SingularParameterError(
             "g_a + g_am = 0 makes the critical chemical potential singular")
-    tol = default_tol() if tol is None else tol
     b2 = beta * beta
     mu = -2.0 * b2
     eps = -3.0 * b2
@@ -394,20 +400,65 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
     g_m = 0.5 * (g_a - g_am)
     params = CouplingParams(g_a=g_a, g_m=g_m, g_am=g_am, alpha=alpha, epsilon=eps)
     record = SolutionRecord("I", params, A=A, B=B, D=D, beta=beta, mu=mu)
-    res = check_consistency(record)
+    res = normalized_residuals(record)
     for key in ("A3", "A5"):
-        if not abs(res[key]) < 1e-10:
+        if not res[key] < 1e-10:
             raise InconsistentRootError(
-                f"closed form failed its own relation {key}: {res[key]:.3e}")
+                f"closed form failed its own relation {key}: normalized "
+                f"residual {res[key]:.3e}")
     return _verified(record, tol)
 
 
-def _check_B_agreement(primary: float, alternates: dict) -> None:
-    for label, other in alternates.items():
-        if not abs(primary - other) <= B_AGREEMENT * max(1.0, abs(primary)):
+def _solve_cat(family: str, params: CouplingParams, seed,
+               tol: float | None) -> SolutionRecord:
+    """Newton-solve a family II/III system from a (mu, epsilon) seed.
+
+    At the root every closed form of B must agree with the primary one
+    before the sign scope of B, D and A^2 is checked.
+    """
+    tol = _resolve_tol(tol)
+    mu_g, eps_g = float(seed[0]), float(seed[1])
+    _require_admissible(params, family, seed_mu=mu_g, seed_epsilon=eps_g)
+    if not _in_sign_scope(family, mu_g, eps_g):
+        raise ConfigurationError(f"family {family} seeds need "
+                                 f"{_SIGN_SCOPE[family]}, got {(mu_g, eps_g)}")
+
+    mu, eps = map(float, _newton2(
+        lambda v: _condition_parts(family, params, v[0], v[1]), (mu_g, eps_g)))
+    if not _in_sign_scope(family, mu, eps):
+        raise OutOfScopeRootError(
+            f"root (mu, epsilon) = {(mu, eps)} violates {_SIGN_SCOPE[family]}")
+    terms = _gamma_den_terms(family, params, eps)
+    scale = sum(abs(t) for t in terms)
+    if scale == 0.0 or abs(math.fsum(terms)) < 1e-12 * scale:
+        raise SingularParameterError(
+            f"family {family} denominator {math.fsum(terms):.3e} is singular "
+            f"at epsilon={eps!r}")
+    G, C = map(float, _gamma_and_C(family, params, mu, eps))
+    forms, quads = _b_forms(family, params, mu, eps, G, C)
+    if any(den == 0.0 for _, den in forms.values()):
+        raise SingularParameterError("singular B denominator at the root")
+    (primary, (num, den)), *rest = forms.items()
+    B = num / den
+    alternates = {k: n / d for k, (n, d) in rest}
+    alternates.update((k, _nearest_real_root(q, B, k)) for k, q in quads.items())
+    for key, other in alternates.items():
+        if not abs(B - other) <= B_AGREEMENT * max(1.0, abs(B)):
             raise InconsistentRootError(
-                f"B = {primary!r} disagrees with the {label} expression "
+                f"B = {B!r} from {primary} disagrees with the {key} form "
                 f"({other!r}) beyond {B_AGREEMENT:g}")
+    if not B > 0.0:
+        raise OutOfScopeRootError(f"root gives B = {B:g} <= 0")
+    D = G * B + C
+    if not eps * D < 0.0:
+        raise OutOfScopeRootError(
+            f"root gives epsilon = {eps:g}, D = {D:g}; they must have opposite signs")
+    A2 = -SQRT2 * eps * D / params.alpha
+    if not A2 > 0.0:
+        raise OutOfScopeRootError(f"root gives A^2 = {A2:g} <= 0")
+    record = SolutionRecord(family, params.with_epsilon(eps), A=math.sqrt(A2),
+                            B=B, D=D, beta=math.sqrt(-2.0 * mu), mu=mu)
+    return _verified(record, tol)
 
 
 def solve_family_II(params: CouplingParams, seed, *,
@@ -416,40 +467,7 @@ def solve_family_II(params: CouplingParams, seed, *,
 
     Any epsilon already on params is ignored; the solver determines it.
     """
-    tol = default_tol() if tol is None else tol
-    bad = validate_params(replace(params, epsilon=None), "II")
-    if bad:
-        raise ConfigurationError("; ".join(bad))
-    mu_g, eps_g = float(seed[0]), float(seed[1])
-    if not (mu_g < 0.0 and eps_g < 0.0):
-        raise ConfigurationError(
-            f"family II seeds need mu < 0 and epsilon < 0, got {(mu_g, eps_g)}")
-
-    mu, eps = map(float, _newton2(
-        lambda v: _parts_family_II(params, v[0], v[1]), (mu_g, eps_g)))
-    if not (mu < 0.0 and eps < 0.0):
-        raise OutOfScopeRootError(
-            f"root (mu, epsilon) = {(mu, eps)} violates mu < 0, epsilon < 0")
-    al, ga, gm, gam = params.alpha, params.g_a, params.g_m, params.g_am
-    G = gamma_intermediates("II", params, mu, eps).Gamma
-    d15 = (al * al - ga * eps) * G - 4.0 * SQRT2 * mu * al
-    d16 = (2.0 * mu - eps) - gm * G * G
-    d17 = gam * al * G * G + SQRT2 * ga * eps * G + 8.0 * mu * al
-    if 0.0 in (d15, d16, d17):
-        raise SingularParameterError("singular B denominator at the root")
-    B = SQRT2 * mu * al / d15
-    _check_B_agreement(B, {"A16-form": mu / d16, "A17-form": -8.0 * mu * al / d17})
-    if not B > 0.0:
-        raise OutOfScopeRootError(f"root gives B = {B:g} <= 0")
-    D = G * B
-    if not D > 0.0:
-        raise OutOfScopeRootError(f"root gives D = {D:g}; family II needs D > 0")
-    A2 = -SQRT2 * eps * D / al
-    if not A2 > 0.0:
-        raise OutOfScopeRootError(f"root gives A^2 = {A2:g} <= 0")
-    record = SolutionRecord("II", params.with_epsilon(eps), A=math.sqrt(A2),
-                            B=B, D=D, beta=math.sqrt(-2.0 * mu), mu=mu)
-    return _verified(record, tol)
+    return _solve_cat("II", params, seed, tol)
 
 
 def solve_family_III(params: CouplingParams, seed, *,
@@ -458,61 +476,12 @@ def solve_family_III(params: CouplingParams, seed, *,
 
     epsilon may converge to either sign; D takes the opposite sign.
     """
-    tol = default_tol() if tol is None else tol
-    bad = validate_params(replace(params, epsilon=None), "III")
-    if bad:
-        raise ConfigurationError("; ".join(bad))
-    mu_g, eps_g = float(seed[0]), float(seed[1])
-    if not mu_g < 0.0:
-        raise ConfigurationError(f"family III seeds need mu < 0, got {mu_g}")
-
-    mu, eps = map(float, _newton2(
-        lambda v: _parts_family_III(params, v[0], v[1]), (mu_g, eps_g)))
-    if not mu < 0.0:
-        raise OutOfScopeRootError(f"root gives mu = {mu:g} >= 0")
-    if eps == 0.0:
-        raise OutOfScopeRootError("root gives epsilon = 0; family III needs "
-                                  "mu, epsilon, alpha all nonzero")
-    al, ga, gm, gam = params.alpha, params.g_a, params.g_m, params.g_am
-    inter = gamma_intermediates("III", params, mu, eps)
-    G, C = inter.Gamma, inter.C
-    d23 = (al * al - ga * eps) * G - 4.0 * SQRT2 * mu * al
-    if d23 == 0.0:
-        raise SingularParameterError("singular B denominator at the root")
-    B = (3.0 * SQRT2 * mu * al + (ga * eps - al * al) * C) / d23
-    if not B > 0.0:
-        raise OutOfScopeRootError(f"root gives B = {B:g} <= 0")
-    two = 2.0 * mu - eps
-    quads = {
-        "first-quadratic": (gm * G * G - two,
-                            2.0 * gm * G * C - 5.0 * mu + 2.0 * eps,
-                            gm * C * C - (3.0 * mu - eps)),
-        "second-quadratic": (gam * al * G * G + 8.0 * mu * al + SQRT2 * ga * eps * G,
-                             2.0 * gam * al * G * C + SQRT2 * ga * eps * (G + C) + 8.0 * mu * al,
-                             gam * al * C * C + SQRT2 * ga * eps * C),
-    }
-    _check_B_agreement(B, {label: _nearest_real_root(coefs, B, label)
-                           for label, coefs in quads.items()})
-    D = G * B + C
-    if not eps * D < 0.0:
-        raise OutOfScopeRootError(
-            f"root gives epsilon = {eps:g}, D = {D:g}; they must have opposite signs")
-    A2 = -SQRT2 * eps * D / al
-    if not A2 > 0.0:
-        raise OutOfScopeRootError(f"root gives A^2 = {A2:g} <= 0")
-    record = SolutionRecord("III", params.with_epsilon(eps), A=math.sqrt(A2),
-                            B=B, D=D, beta=math.sqrt(-2.0 * mu), mu=mu)
-    return _verified(record, tol)
+    return _solve_cat("III", params, seed, tol)
 
 
 def _nearest_real_root(coefs, target: float, label: str) -> float:
-    a, b, c = coefs
-    if a == 0.0:
-        if b == 0.0:
-            raise InconsistentRootError(f"{label} degenerates to a constant")
-        return -c / b
-    roots = np.roots([a, b, c])
-    real = [r.real for r in roots
+    """Real root of a B^2 + b B + c nearest target; np.roots drops a zero a."""
+    real = [r.real for r in np.roots(coefs)
             if abs(r.imag) <= 1e-8 * max(1.0, abs(r))]
     if not real:
         raise InconsistentRootError(f"{label} has no real root near B = {target!r}")
@@ -551,23 +520,16 @@ def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
     """
     if family == "I":
         raise ConfigurationError("family I is closed form; it takes no scan")
-    if family == "II":
-        cond = conditions_family_II
-    elif family == "III":
-        cond = conditions_family_III
-    else:
-        raise ConfigurationError(f"unknown family {family!r}")
-    bad = validate_params(replace(params, epsilon=None), family)
-    if bad:
-        raise ConfigurationError("; ".join(bad))
     mu_lo, mu_hi = float(mu_range[0]), float(mu_range[1])
     eps_lo, eps_hi = float(eps_range[0]), float(eps_range[1])
+    _require_admissible(params, family, mu_lo=mu_lo, mu_hi=mu_hi,
+                        eps_lo=eps_lo, eps_hi=eps_hi)
+    cond = conditions_family_II if family == "II" else conditions_family_III
     if not (mu_lo < mu_hi and eps_lo < eps_hi):
         raise ConfigurationError("scan ranges must be increasing (lo, hi) pairs")
-    if mu_hi >= 0.0:
-        raise ConfigurationError("mu scan range must stay negative")
-    if family == "II" and eps_hi >= 0.0:
-        raise ConfigurationError("family II epsilon scan range must stay negative")
+    if not _in_sign_scope(family, mu_hi, eps_hi):
+        raise ConfigurationError(
+            f"family {family} scan ranges must keep {_SIGN_SCOPE[family]}")
     if n < 2:
         raise ConfigurationError("scan needs n >= 2")
     mus = np.linspace(mu_lo, mu_hi, n)
@@ -598,10 +560,8 @@ def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
     for i, j in zip(ii[order], jj[order]):
         mu_c = 0.5 * (mus[i] + mus[i + 1])
         eps_c = 0.5 * (epss[j] + epss[j + 1])
-        if refine_levels > 0:
-            mu_c, eps_c = _refine_seed(cond, params, mu_c, eps_c,
-                                       d_mu, d_eps, levels=refine_levels)
-        seeds.append((mu_c, eps_c))
+        seeds.append(_refine_seed(cond, params, mu_c, eps_c, d_mu, d_eps,
+                                  levels=refine_levels))
     return seeds
 
 
@@ -621,15 +581,14 @@ def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
     """Scan for seeds, then try Newton from each candidate until one passes."""
     if family not in ("II", "III"):
         raise ConfigurationError("scan-solve applies to families II and III")
-    if mu_range is None or eps_range is None:
-        d_mu, d_eps = default_scan_ranges(family, params.alpha)
-        mu_range = d_mu if mu_range is None else mu_range
-        eps_range = d_eps if eps_range is None else eps_range
-    seeds = grid_scan_seed(params, family, mu_range, eps_range, n)
+    tol = _resolve_tol(tol)
+    d_mu, d_eps = default_scan_ranges(family, params.alpha)
+    seeds = grid_scan_seed(params, family, d_mu if mu_range is None else mu_range,
+                           d_eps if eps_range is None else eps_range, n)
     solve = solve_family_II if family == "II" else solve_family_III
     failures = []
     for mu_g, eps_g in seeds:
-        if not (mu_g < 0.0 and (family == "III" or eps_g < 0.0)):
+        if not _in_sign_scope(family, mu_g, eps_g):
             continue
         try:
             return solve(params, (mu_g, eps_g), tol=tol)

@@ -11,6 +11,8 @@ from .errors import ConfigurationError, OutOfScopeRegimeError
 
 FAMILIES = ("I", "II", "III")
 
+SQRT2 = math.sqrt(2.0)
+
 #: JSON key order for a serialized solution record.
 RECORD_KEYS = ("family", "g_a", "g_m", "g_am", "alpha", "epsilon",
                "mu", "beta", "A", "B", "D", "delta", "residual_max")
@@ -36,6 +38,20 @@ class CouplingParams:
         return replace(self, epsilon=epsilon)
 
 
+def nonfinite(**values) -> list[str]:
+    """One message per value that is not a finite number; None is skipped."""
+    return [f"{name} must be finite, got {value}"
+            for name, value in values.items()
+            if value is not None and not math.isfinite(value)]
+
+
+def require_finite(**values) -> None:
+    """Raise ConfigurationError naming every value that is not finite."""
+    bad = nonfinite(**values)
+    if bad:
+        raise ConfigurationError("; ".join(bad))
+
+
 def validate_params(params: CouplingParams, family: str) -> list[str]:
     """Return the list of violated admissibility constraints for a family.
 
@@ -44,7 +60,7 @@ def validate_params(params: CouplingParams, family: str) -> list[str]:
     """
     if family not in FAMILIES:
         raise ConfigurationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    bad = []
+    bad = nonfinite(**vars(params))
     if params.alpha == 0.0:
         bad.append("alpha must be nonzero: every family couples the two fields")
     if family == "I":

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import KERNEL_BACKEND, nonlinear_step
-from .core import CouplingParams, Diagnostics, FieldPair, Grid, require_power_of_two
+from .core import (SQRT2, CouplingParams, Diagnostics, FieldPair, Grid,
+                   require_power_of_two)
 from .errors import BlowUpError, ConfigurationError, InstabilityError
-
-SQRT2 = math.sqrt(2.0)
 
 #: N drift beyond this multiple of tol_drift aborts the run
 INSTABILITY_FACTOR = 100.0
@@ -32,9 +31,14 @@ def make_grid(L: float, n: int) -> Grid:
     return grid
 
 
+def default_half_width(beta: float) -> float:
+    """Half-width wide enough that profiles with decay rate beta fit to 1e-12."""
+    return max(20.0, 40.0 / beta)
+
+
 def default_grid(beta: float, n: int = 2048) -> Grid:
     """Grid wide enough that profiles with decay rate beta fit to 1e-12."""
-    return make_grid(max(20.0, 40.0 / beta), n)
+    return make_grid(default_half_width(beta), n)
 
 
 @dataclass(frozen=True)

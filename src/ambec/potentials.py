@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import GRID_ADEQUACY, rational_profile
-from .core import Grid, SolutionRecord
+from .ansatz import rational_profile, truncation_report
+from .core import SQRT2, Grid, SolutionRecord
 from .errors import ConfigurationError, SingularParameterError, TruncationError
-
-SQRT2 = math.sqrt(2.0)
 
 #: fraction of grid points dropped at each edge when taking residual norms
 EDGE_EXCLUSION = 0.025
@@ -71,19 +69,6 @@ def second_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
             + 16.0 * np.roll(f, -1) - np.roll(f, -2)) / (12.0 * dx2)
 
 
-def _require_adequate(record: SolutionRecord, grid: Grid) -> None:
-    edges = np.array([grid.x_min, grid.x_max])
-    for family, amp in ((record.family, record.A), ("I", record.D)):
-        prof = rational_profile(family, amp, record.B, record.beta, grid.x())
-        edge = rational_profile(family, amp, record.B, record.beta, edges)
-        peak = float(np.max(np.abs(prof)))
-        boundary = float(np.max(np.abs(edge)))
-        if peak > 0 and boundary > GRID_ADEQUACY * peak:
-            raise TruncationError(
-                f"grid too narrow: boundary amplitude {boundary:.3e} is "
-                f"{boundary / peak:.3e} of peak (limit {GRID_ADEQUACY:g})")
-
-
 def eigen_residuals(record: SolutionRecord, grid: Grid):
     """Relative inf-norm residuals of the two linear eigenvalue equations.
 
@@ -92,9 +77,11 @@ def eigen_residuals(record: SolutionRecord, grid: Grid):
     points on each side are excluded from the numerator so the (decayed,
     wrap-around-affected) tails cannot dominate.
     """
-    _require_adequate(record, grid)
     pair = self_consistent_potentials(record, grid)
     phi_a, phi_m = pair.phi_a, pair.phi_m
+    problems = truncation_report(record, grid, phi_a, phi_m)
+    if problems:
+        raise TruncationError("grid too narrow: " + problems[0])
     mu, eps = record.mu, record.epsilon
     res_a = -0.5 * second_derivative(phi_a, grid) + pair.V_a * phi_a - mu * phi_a
     res_m = (-0.25 * second_derivative(phi_m, grid) + pair.V_m * phi_m

@@ -15,6 +15,25 @@ from ambec.wigner import CONVENTION
 FIG1 = ["--g-a", "3", "--g-am", "-2.8", "--alpha", "2"]
 CAT2 = ["--g-a", "-5", "--g-m", "1", "--g-am", "-1.1", "--alpha", "1"]
 
+#: solve invocations by name, with the numeric flags of each that must be finite
+NUMERIC_SOLVE_FLAGS = {
+    "I": (["--family", "I", *FIG1, "--beta", "1"],
+          ["--g-a", "--g-am", "--alpha", "--beta", "--tol"]),
+    "II-seed": (["--family", "II", *CAT2, "--seed-mu", "-0.1",
+                 "--seed-epsilon", "-0.44"],
+                ["--g-a", "--g-m", "--g-am", "--alpha", "--seed-mu",
+                 "--seed-epsilon", "--tol"]),
+    "II-scan": (["--family", "II", *CAT2, "--scan"], ["--g-m", "--tol"]),
+}
+
+
+def _set_flag(argv, flag, value):
+    """argv with flag set to value, replacing the value it had."""
+    if flag not in argv:
+        return [*argv, flag, value]
+    i = argv.index(flag)
+    return [*argv[:i + 1], value, *argv[i + 2:]]
+
 
 @pytest.fixture()
 def rec_path(tmp_path):
@@ -85,6 +104,28 @@ class TestSolve:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 4
         assert "disagrees" in capsys.readouterr().err
+
+    def test_family_I_large_amplitude(self, tmp_path):
+        # the raw A3 residual is 3.3e-10 here, its normalized one 4e-17
+        rc = main(["solve", "--family", "I", "--g-a", "-7.933847499028667",
+                   "--g-am", "7.936417800804346",
+                   "--alpha", "-5.196151014683082",
+                   "--beta", "35.15100397768535",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("base, flag", [
+        pytest.param(base, flag, id=f"{name}{flag}")
+        for name, (base, flags) in NUMERIC_SOLVE_FLAGS.items() for flag in flags])
+    def test_nonfinite_input_is_configuration_error(self, base, flag, value,
+                                                    tmp_path, capsys):
+        rc = main(["solve", *_set_flag(base, flag, value),
+                   "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_out_of_scope_root(self, tmp_path):
         rc = main(["solve", "--family", "II", *CAT2,

@@ -10,7 +10,7 @@ from ambec.consistency import (check_consistency, default_scan_ranges,
                                normalized_residuals, solve_family_I,
                                solve_family_II, solve_family_III,
                                solve_from_scan)
-from ambec.core import CouplingParams
+from ambec.core import CouplingParams, SolutionRecord
 from ambec.errors import (AmbecError, ConfigurationError,
                           InconsistentRootError, NoDropletError,
                           NoRootFoundError, SingularParameterError)
@@ -142,6 +142,19 @@ class TestNewtonSolvers:
     def test_residuals_are_signed_and_finite(self, fam3_low_record):
         res = check_consistency(fam3_low_record)
         assert all(math.isfinite(v) for v in res.values())
+
+    @pytest.mark.parametrize("family, g_m, keys, b_form", [
+        ("II", 1.0, KEYS_II, "A15"), ("III", -1.0, KEYS_III, "A23")])
+    def test_residuals_total_at_zero_gamma_denominator(self, family, g_m,
+                                                       keys, b_form):
+        # g_a = -1, g_am = 0, alpha = 1, epsilon = -1 zero both families'
+        # Gamma denominator
+        rec = SolutionRecord(family, CouplingParams(-1.0, g_m, 0.0, 1.0, -1.0),
+                             A=1.0, B=1.0, D=1.0, beta=1.0, mu=-0.5)
+        res = check_consistency(rec)
+        assert set(res) == keys
+        assert not math.isfinite(res[b_form])
+        assert set(normalized_residuals(rec)) == keys
 
 
 class TestScanSeeding:

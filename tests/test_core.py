@@ -1,4 +1,5 @@
 """Domain type validation, serialization, and grid behavior."""
+import dataclasses
 import json
 import math
 
@@ -47,6 +48,15 @@ class TestCouplingParams:
         assert validate_params(good, "III") == []
         assert validate_params(CouplingParams(-1.03, 1.2, -0.8, 0.06, 0.5), "III")
         assert validate_params(CouplingParams(-1.03, -1.2, 0.8, 0.06, 0.5), "III")
+
+    @pytest.mark.parametrize("family", ["I", "II", "III"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_couplings_rejected(self, family, value):
+        for name in ("g_a", "g_m", "g_am", "alpha", "epsilon"):
+            p = dataclasses.replace(CouplingParams(-1.0, -1.0, -1.0, 1.0, -1.0),
+                                    **{name: value})
+            assert any(msg.startswith(f"{name} must be finite")
+                       for msg in validate_params(p, family)), name
 
     def test_unknown_family_raises(self):
         with pytest.raises(ConfigurationError):
