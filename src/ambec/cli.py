@@ -12,13 +12,14 @@ import math
 import pathlib
 import sys
 import time
+from itertools import chain, repeat
 
 import numpy as np
 
 from . import ansatz, consistency, dynamics, potentials, wigner
 from .core import CouplingParams, Grid, SolutionRecord
 from .errors import AmbecError, ConfigurationError
-from .manifest import RunManifest, format_float, write_csv
+from .manifest import RunManifest, format_float, open_output, write_csv
 
 
 def _manifest_path(out: str) -> str:
@@ -50,7 +51,7 @@ def _round15(v):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with open_output(path) as f:
         json.dump({k: _round15(v) for k, v in payload.items()},
                   f, indent=2, sort_keys=True)
         f.write("\n")
@@ -85,7 +86,7 @@ def cmd_solve(args) -> RunManifest:
             solver = (consistency.solve_family_II if args.family == "II"
                       else consistency.solve_family_III)
             record = solver(params, (args.seed_mu, args.seed_epsilon), tol=tol)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with open_output(args.out) as f:
         f.write(record.to_json())
         f.write("\n")
     print(f"family {record.family}: mu={format_float(record.mu)} "
@@ -187,9 +188,11 @@ def cmd_wigner(args) -> RunManifest:
     w = wigner.wigner_transform(profile, grid, p_count=args.p_count)
     metrics = wigner.phase_space_metrics(w)
 
-    x_col = np.repeat(w.x, len(w.p))
-    p_col = np.tile(w.p, len(w.x))
-    rows = zip(x_col, p_col, w.W.ravel())
+    # x-major rows; each lattice coordinate is formatted once, not per cell
+    ps = [format_float(p) for p in w.p.tolist()]
+    rows = chain.from_iterable(
+        zip(repeat(format_float(x), len(ps)), ps, row.tolist())
+        for x, row in zip(w.x.tolist(), w.W))
     write_csv(args.out, ["x", "p", "W"], rows, _manifest_path(args.out),
               comments=[f"convention: {w.convention}"])
 
@@ -349,11 +352,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         manifest = args.func(args)
+        manifest.duration_s = time.perf_counter() - start
+        manifest.write(_manifest_path(args.out))
     except AmbecError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    manifest.duration_s = time.perf_counter() - start
-    manifest.write(_manifest_path(args.out))
     return 0
 
 

@@ -17,6 +17,11 @@ SQRT2 = math.sqrt(2.0)
 RECORD_KEYS = ("family", "g_a", "g_m", "g_am", "alpha", "epsilon",
                "mu", "beta", "A", "B", "D", "delta", "residual_max")
 
+#: keys a record object must hold as finite numbers (residual_max may
+#: be left out; delta is derived from B)
+_NUMBER_KEYS = ("g_a", "g_m", "g_am", "alpha", "epsilon", "mu", "beta",
+                "A", "B", "D")
+
 
 @dataclass(frozen=True)
 class CouplingParams:
@@ -50,6 +55,16 @@ def require_finite(**values) -> None:
     bad = nonfinite(**values)
     if bad:
         raise ConfigurationError("; ".join(bad))
+
+
+def _finite_number(x) -> bool:
+    """True for an int or float, not a bool, that is finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def validate_params(params: CouplingParams, family: str) -> list[str]:
@@ -143,11 +158,28 @@ class SolutionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolutionRecord":
-        params = CouplingParams(g_a=d["g_a"], g_m=d["g_m"], g_am=d["g_am"],
-                                alpha=d["alpha"], epsilon=d["epsilon"])
-        return cls(family=d["family"], params=params, A=d["A"], B=d["B"],
-                   D=d["D"], beta=d["beta"], mu=d["mu"],
-                   residual_max=d.get("residual_max", 0.0))
+        """Record from its JSON object; "delta" is derived, not read.
+
+        Raises KeyError for a missing key and ValueError for anything that
+        is not a record object: a non-dict, an unknown family, or a number
+        field holding a bool, a non-number or a non-finite value.
+        """
+        if not isinstance(d, dict):
+            raise ValueError("a solution record is a JSON object, got "
+                             f"{type(d).__name__}")
+        if d["family"] not in FAMILIES:
+            raise ValueError(f"unknown family {d['family']!r}; expected one "
+                             f"of {FAMILIES}")
+        v = {k: d[k] for k in _NUMBER_KEYS}
+        v["residual_max"] = d.get("residual_max", 0.0)
+        for k, x in v.items():
+            if not _finite_number(x):
+                raise ValueError(f"{k} must be a finite number, got {x!r}")
+        params = CouplingParams(g_a=v["g_a"], g_m=v["g_m"], g_am=v["g_am"],
+                                alpha=v["alpha"], epsilon=v["epsilon"])
+        return cls(family=d["family"], params=params, A=v["A"], B=v["B"],
+                   D=v["D"], beta=v["beta"], mu=v["mu"],
+                   residual_max=v["residual_max"])
 
     @classmethod
     def from_json(cls, text: str) -> "SolutionRecord":

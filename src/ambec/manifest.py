@@ -8,9 +8,17 @@ manifest's duration field may differ.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from operator import itemgetter
+
+from .errors import ConfigurationError
 
 TOOL_VERSION = "0.1.0"
+
+#: rows formatted and written per call by write_csv
+_BLOCK_ROWS = 4096
 
 
 def format_float(v: float) -> str:
@@ -18,12 +26,18 @@ def format_float(v: float) -> str:
     return "%.15g" % v
 
 
-def _format_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int,)) and not isinstance(v, bool):
-        return str(v)
-    return format_float(float(v))
+@contextmanager
+def open_output(path: str):
+    """Open an output file for writing UTF-8 text with LF line ends.
+
+    An OSError from opening or writing it (missing directory, no
+    permission, full disk) becomes a ConfigurationError, exit code 3.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+    except OSError as e:
+        raise ConfigurationError(f"cannot write {path}: {e}") from e
 
 
 @dataclass
@@ -46,7 +60,7 @@ class RunManifest:
             "version": self.version,
             "duration_s": self.duration_s,
         }
-        with open(path, "w", encoding="utf-8") as f:
+        with open_output(path) as f:
             json.dump(body, f, indent=2, sort_keys=True)
             f.write("\n")
 
@@ -61,13 +75,39 @@ class RunManifest:
 
 def write_csv(path: str, header, rows, manifest_path: str | None = None,
               comments=()) -> None:
-    """One header line, %.15g floats, trailing manifest pointer comment."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    """One header line, %.15g floats, trailing manifest pointer comment.
+
+    Each row is a sequence of cells.  The first row fixes the kind of
+    every column: a column whose first cell is a str is a text column and
+    is written as is; every other column is a number column and each of
+    its cells is written with "%.15g" (ints below 1e15 in magnitude come
+    out as str(v) would print them).  A row of another length, a cell that
+    is not a str in a text column, or one that is not a real number in a
+    number column raises TypeError.  Rows are formatted a block at a time,
+    so a TypeError can leave a partly written file.
+    """
+    rows = iter(rows)
+    with open_output(path) as f:
         for c in comments:
             f.write(f"# {c}\n")
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_format_value(v) for v in row) + "\n")
+        block = list(islice(rows, _BLOCK_ROWS))
+        if block:
+            width = len(block[0])
+            text_cols = [j for j, v in enumerate(block[0])
+                         if isinstance(v, str)]
+            row_fmt = ",".join("%s" if j in text_cols else "%.15g"
+                               for j in range(width)) + "\n"
+        while block:
+            if set(map(len, block)) != {width}:
+                raise TypeError(f"{path}: every row needs {width} cells")
+            for j in text_cols:
+                if not all(map(isinstance, map(itemgetter(j), block),
+                               repeat(str))):
+                    raise TypeError(f"{path}: column {j} holds text, so "
+                                    "every cell of it must be a str")
+            f.write((row_fmt * len(block)) % tuple(chain.from_iterable(block)))
+            block = list(islice(rows, _BLOCK_ROWS))
         if manifest_path is not None:
             f.write(f"# manifest: {manifest_path}\n")
 

@@ -182,6 +182,48 @@ class TestTableCommands:
         assert rc == 3
 
 
+def _assert_one_error_line(rc, err):
+    assert rc == 3
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+class TestBadFiles:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--family", "I", *FIG1, "--beta", "1"],
+        ["profile", "--solution", "{rec}"],
+        ["wigner", "--solution", "{rec}", "--grid-n", "64"],
+    ], ids=["solve", "profile", "wigner"])
+    def test_out_in_missing_directory(self, argv, rec_path, tmp_path, capsys):
+        out = tmp_path / "nodir" / "out.csv"
+        argv = [a.format(rec=rec_path) for a in argv]
+        rc = main([*argv, "--out", str(out)])
+        _assert_one_error_line(rc, capsys.readouterr().err)
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [1, 2],
+        lambda d: None,
+        lambda d: {**d, "beta": "1"},
+        lambda d: {**d, "beta": True},
+        lambda d: {**d, "A": None},
+        lambda d: {**d, "mu": [1.0]},
+        lambda d: {**d, "epsilon": float("nan")},
+        lambda d: {**d, "residual_max": float("inf")},
+        lambda d: {**d, "g_a": 10 ** 400},
+        lambda d: {**d, "family": "IV"},
+        lambda d: {**d, "family": 2},
+    ], ids=["list", "null", "str-beta", "bool-beta", "null-A", "list-mu",
+            "nan-epsilon", "inf-residual", "huge-int", "family-IV",
+            "family-int"])
+    def test_solution_not_a_record(self, edit, rec_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(rec_path.read_text()))))
+        rc = main(["profile", "--solution", str(bad),
+                   "--out", str(tmp_path / "x.csv")])
+        _assert_one_error_line(rc, capsys.readouterr().err)
+
+
 class TestEvolve:
     def test_short_run_table(self, rec_path, tmp_path):
         out = tmp_path / "ev.csv"
