@@ -17,7 +17,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import ansatz, consistency, dynamics, potentials, wigner
-from .core import CouplingParams, Grid, SolutionRecord
+from .core import CouplingParams, Grid, SolutionRecord, require_finite
 from .errors import AmbecError, ConfigurationError
 from .manifest import RunManifest, format_float, open_output, write_csv
 
@@ -213,6 +213,8 @@ def cmd_wigner(args) -> RunManifest:
 
 
 def cmd_scan(args) -> RunManifest:
+    require_finite(g_a=args.g_a, g_am=args.g_am, alpha=args.alpha, mu=args.mu,
+                   mu_min=args.mu_min, mu_max=args.mu_max, tol=args.tol)
     if args.mu is not None:
         mus = [args.mu]
     else:

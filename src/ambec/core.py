@@ -202,6 +202,7 @@ class Grid:
     def __post_init__(self):
         if self.n < 8:
             raise ConfigurationError(f"grid needs n >= 8, got {self.n}")
+        require_finite(x_min=self.x_min, x_max=self.x_max)
         if not self.x_max > self.x_min:
             raise ConfigurationError("grid needs x_max > x_min")
 

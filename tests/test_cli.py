@@ -15,24 +15,36 @@ from ambec.wigner import CONVENTION
 FIG1 = ["--g-a", "3", "--g-am", "-2.8", "--alpha", "2"]
 CAT2 = ["--g-a", "-5", "--g-m", "1", "--g-am", "-1.1", "--alpha", "1"]
 
-#: solve invocations by name, with the numeric flags of each that must be finite
-NUMERIC_SOLVE_FLAGS = {
-    "I": (["--family", "I", *FIG1, "--beta", "1"],
+#: invocations by name, with the float flags of each that must be finite;
+#: SOLUTION stands for the path of a family I record
+NUMERIC_FLAGS = {
+    "I": (["solve", "--family", "I", *FIG1, "--beta", "1"],
           ["--g-a", "--g-am", "--alpha", "--beta", "--tol"]),
-    "II-seed": (["--family", "II", *CAT2, "--seed-mu", "-0.1",
+    "II-seed": (["solve", "--family", "II", *CAT2, "--seed-mu", "-0.1",
                  "--seed-epsilon", "-0.44"],
                 ["--g-a", "--g-m", "--g-am", "--alpha", "--seed-mu",
                  "--seed-epsilon", "--tol"]),
-    "II-scan": (["--family", "II", *CAT2, "--scan"], ["--g-m", "--tol"]),
+    "II-scan": (["solve", "--family", "II", *CAT2, "--scan"],
+                ["--g-m", "--tol"]),
+    "evolve": (["evolve", "--solution", "SOLUTION", "--grid-n", "64",
+                "--t", "0.01"],
+               ["--grid-l", "--t", "--dt", "--tol-drift"]),
+    "scan": (["scan", *FIG1, "--mu-min", "-8", "--mu-max", "-1",
+              "--count", "3", "--grid-n", "64"],
+             ["--g-a", "--g-am", "--alpha", "--mu", "--mu-min", "--mu-max",
+              "--tol"]),
 }
 
 
 def _set_flag(argv, flag, value):
-    """argv with flag set to value, replacing the value it had."""
-    if flag not in argv:
-        return [*argv, flag, value]
-    i = argv.index(flag)
-    return [*argv[:i + 1], value, *argv[i + 2:]]
+    """argv with flag set to value as one `flag=value` word.
+
+    One word, because argparse reads a separate `-inf` as an option.
+    """
+    if flag in argv:
+        i = argv.index(flag)
+        argv = [*argv[:i], *argv[i + 2:]]
+    return [*argv, f"{flag}={value}"]
 
 
 @pytest.fixture()
@@ -114,14 +126,17 @@ class TestSolve:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 0
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("base, flag", [
         pytest.param(base, flag, id=f"{name}{flag}")
-        for name, (base, flags) in NUMERIC_SOLVE_FLAGS.items() for flag in flags])
+        for name, (base, flags) in NUMERIC_FLAGS.items() for flag in flags])
     def test_nonfinite_input_is_configuration_error(self, base, flag, value,
-                                                    tmp_path, capsys):
-        rc = main(["solve", *_set_flag(base, flag, value),
-                   "--out", str(tmp_path / "x.json")])
+                                                    request, tmp_path, capsys):
+        if "SOLUTION" in base:
+            rec = str(request.getfixturevalue("rec_path"))
+            base = [rec if a == "SOLUTION" else a for a in base]
+        rc = main([*_set_flag(base, flag, value),
+                   "--out", str(tmp_path / "x.out")])
         err = capsys.readouterr().err
         assert rc == 3
         assert err.count("error:") == 1 and err.startswith("error: ")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ambec.consistency import (check_consistency, default_scan_ranges,
                                default_tol, grid_scan_seed,
@@ -70,6 +72,25 @@ class TestFamilyIClosedForm:
                 assert beta >= beta_max
                 with pytest.raises(NoDropletError):
                     solve_family_I(3.0, -2.8, 2.0, beta)
+
+    # g_a + g_am >= 0.1 keeps cancellation in the coupling sum mild, and
+    # beta >= beta_max / 1000 keeps B = O((beta/beta_max)^2) well above the
+    # rounding error of its closed form
+    @settings(derandomize=True, deadline=None)
+    @given(g_a=st.floats(-10.0, 10.0), g_am=st.floats(-10.0, 10.0),
+           alpha=st.floats(0.1, 10.0), negative_alpha=st.booleans(),
+           fraction=st.floats(1e-3, 0.999))
+    def test_random_admissible_couplings(self, g_a, g_am, alpha,
+                                         negative_alpha, fraction):
+        assume(g_a + g_am >= 0.1)
+        if negative_alpha:
+            alpha = -alpha
+        beta_max = abs(alpha) * math.sqrt(2.0 / (9.0 * (g_a + g_am)))
+        rec = solve_family_I(g_a, g_am, alpha, fraction * beta_max)
+        res = normalized_residuals(rec)
+        assert set(res) == KEYS_I
+        assert max(res.values()) < 1e-10
+        assert SolutionRecord.from_json(rec.to_json()) == rec
 
     def test_singular_coupling_sum(self):
         with pytest.raises(SingularParameterError):
