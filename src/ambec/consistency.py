@@ -383,6 +383,9 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
         raise SingularParameterError(
             "g_a + g_am = 0 makes the critical chemical potential singular")
     b2 = beta * beta
+    if b2 == 0.0:
+        raise ConfigurationError(f"beta = {beta:g} is too small: beta^2 "
+                                 "underflows to 0")
     mu = -2.0 * b2
     eps = -3.0 * b2
     den = 2.0 * alpha * alpha / (9.0 * b2) - g_a - g_am

@@ -142,6 +142,14 @@ class TestSolve:
         assert err.count("error:") == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_beta_square_underflow(self, tmp_path, capsys):
+        rc = main(["solve", "--family", "I", *FIG1, "--beta", "1e-170",
+                   "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_out_of_scope_root(self, tmp_path):
         rc = main(["solve", "--family", "II", *CAT2,
                    "--seed-mu", "-1", "--seed-epsilon", "-5",
@@ -252,6 +260,25 @@ class TestEvolve:
         assert [r[0] for r in data.rows] == [0.0, 0.02, 0.04, 0.05]
         N0 = data.rows[0][1]
         assert abs(data.rows[-1][1] - N0) < 1e-9 * N0
+
+    @pytest.mark.parametrize("beta, step, t", [("0.5", 5, "0.05"),
+                                               ("1", 2, "0.02")])
+    def test_blow_up_prints_one_error_line(self, beta, step, t, tmp_path):
+        rec = tmp_path / "rec.json"
+        assert main(["solve", "--family", "I", *FIG1, "--beta", beta,
+                     "--out", str(rec)]) == 0
+        data = json.loads(rec.read_text())
+        data["A"] *= 50.0
+        data["D"] *= 50.0
+        rec.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ambec.cli", "evolve", "--solution",
+             str(rec), "--grid-n", "256", "--t", "1", "--dt", "1e-2",
+             "--out", str(tmp_path / "ev.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr == (f"error: non-finite field values at step "
+                               f"{step} (t = {t})\n")
 
     def test_kinetic_wrap_exit(self, rec_path, tmp_path):
         rc = main(["evolve", "--solution", str(rec_path), "--t", "1",

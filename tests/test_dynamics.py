@@ -182,21 +182,78 @@ class TestKernels:
 
     def test_inputs_unmodified(self):
         pa, pm, couplings = _random_fields(7)
-        pa0, pm0 = pa.copy(), pm.copy()
-        out_a, out_m = nonlinear_step(pa, pm, 1e-2, *couplings)
-        assert np.array_equal(pa, pa0) and np.array_equal(pm, pm0)
-        assert out_a is not pa and out_m is not pm
+        psi = np.stack((pa, pm))
+        psi0 = psi.copy()
+        out = nonlinear_step(psi, 1e-2, *couplings)
+        assert np.array_equal(psi, psi0)
+        assert out is not psi and out.shape == psi.shape
 
     @pytest.mark.parametrize("seed", range(4))
     def test_local_number_drift_is_fifth_order(self, seed):
         # the exact local flow conserves n_a + 2 n_m at each point; one RK4
         # step misses it by O(dt^5), so halving dt cuts the drift by ~32
         pa, pm, couplings = _random_fields(seed)
+        psi = np.stack((pa, pm))
         n0 = np.abs(pa) ** 2 + 2.0 * np.abs(pm) ** 2
 
         def drift(dt):
-            a, m = nonlinear_step(pa, pm, dt, *couplings)
+            a, m = nonlinear_step(psi, dt, *couplings)
             n1 = np.abs(a) ** 2 + 2.0 * np.abs(m) ** 2
             return float(np.max(np.abs(n1 - n0) / n0))
 
         assert 16.0 <= drift(2e-3) / drift(1e-3) <= 64.0
+
+
+def _unfused_strang(fields, params, dt, n_steps, record_every):
+    """Reference loop: every step is half kinetic, RK4, half kinetic."""
+    k2 = fields.grid.k() ** 2
+    half_a = np.exp(-0.25j * k2 * dt)
+    half_m = np.exp(-0.125j * k2 * dt)
+    abs_a0, abs_m0 = np.abs(fields.psi_a), np.abs(fields.psi_m)
+    t0 = fields.t
+
+    def sample(pa, pm, t):
+        f = FieldPair(fields.grid, pa, pm, t)
+        N, N_a, N_m = conserved_number(f)
+        return (t, N, N_a, N_m, mean_field_energy(f, params),
+                float(np.max(np.abs(np.abs(pa) - abs_a0))),
+                float(np.max(np.abs(np.abs(pm) - abs_m0))))
+
+    pa, pm = fields.psi_a, fields.psi_m
+    out = [sample(pa, pm, t0)]
+    for step in range(1, n_steps + 1):
+        pa = np.fft.ifft(half_a * np.fft.fft(pa))
+        pm = np.fft.ifft(half_m * np.fft.fft(pm))
+        pa, pm = nonlinear_step(np.stack((pa, pm)), dt, params.g_a,
+                                params.g_m, params.g_am, params.alpha,
+                                params.epsilon)
+        pa = np.fft.ifft(half_a * np.fft.fft(pa))
+        pm = np.fft.ifft(half_m * np.fft.fft(pm))
+        if step % record_every == 0 or step == n_steps:
+            out.append(sample(pa, pm, t0 + step * dt))
+    return out, pa, pm
+
+
+class TestFusedKinetics:
+    """Merging kinetic halves between records changes only rounding."""
+
+    @pytest.mark.parametrize("dt, record_every", [
+        (1e-3, 1), (1e-3, 7), (1e-3, 30), (1e-3, 1000), (-1e-3, 7)])
+    def test_matches_unfused_strang(self, fam1_record, dt, record_every):
+        fields, _ = _fields(fam1_record)
+        params = fam1_record.params
+        want, pa, pm = _unfused_strang(fields.copy(), params, dt, 100,
+                                       record_every)
+        got = evolve(fields, params, PropagatorConfig(
+            dt=dt, T=100 * abs(dt), record_every=record_every))
+        assert [d.t for d in got] == [row[0] for row in want]
+        scale = float(np.max(np.abs(pa)) + np.max(np.abs(pm)))
+        for d, row in zip(got, want):
+            values = (d.N, d.N_a, d.N_m, d.E)
+            assert values == pytest.approx(row[1:5], rel=1e-12, abs=0.0)
+            # a drift is a difference of field moduli: its rounding
+            # scales with the fields, not with the drift itself
+            assert abs(d.drift_a - row[5]) <= 1e-12 * scale
+            assert abs(d.drift_m - row[6]) <= 1e-12 * scale
+        assert np.max(np.abs(fields.psi_a - pa)) <= 1e-12 * scale
+        assert np.max(np.abs(fields.psi_m - pm)) <= 1e-12 * scale
