@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -179,16 +180,24 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
              max_halvings: int = 30, leash: float = 1e3) -> np.ndarray:
     """Damped 2-D Newton with a central finite-difference Jacobian.
 
-    parts(v) returns (raw residual pair, magnitude scale pair).  Steps and
-    the line search use the raw residuals under fixed row weights from the
-    seed, so the merit keeps its polynomial growth away from roots instead
-    of flattening out; convergence is judged on |raw|/(1 + scale) < tol,
-    which is parameter-scale-free.  When no damping level improves the
-    merit, the smallest in-bounds step is taken anyway, which lets the
-    iteration creep across the narrow non-monotone ridges these systems
-    have; a stagnation counter and a leash on |v| bound that behavior.
-    A few extra polishing steps after convergence push the root to machine
-    precision.
+    parts(v) returns (raw residual 1, raw residual 2, scale 1, scale 2).
+    It is called with one point v of shape (2,) and with stacks of shape
+    (2, k), one point per column, and must then return four arrays of
+    shape (k,) whose column c equals parts(v[:, c]) bit for bit (true of
+    any elementwise formula).  Each iteration makes two such calls: the
+    four finite-difference points, and every damping level of the line
+    search at once.
+
+    Steps and the line search use the raw residuals under fixed row
+    weights from the seed, so the merit keeps its polynomial growth away
+    from roots instead of flattening out; convergence is judged on
+    |raw|/(1 + scale) < tol, which is parameter-scale-free.  The step is
+    damped by the first of 1, 1/2, 1/4, ... that stays in bounds and
+    improves the merit.  When none does, the smallest in-bounds step is
+    taken anyway, which lets the iteration creep across the narrow
+    non-monotone ridges these systems have; a stagnation counter and a
+    leash on |v| bound that behavior.  A few extra polishing steps after
+    convergence push the root to machine precision.
     """
     def combine(v):
         r = parts(v)
@@ -198,10 +207,18 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
     limit = leash * max(1.0, float(np.max(np.abs(v))))
     raw, scale = combine(v)
     weights = np.where(np.isfinite(scale), 1.0 / (1.0 + scale), 1.0)
+    # lam = 1, 1/2, 1/4, ...: the damping levels of the line search
+    lams = np.ldexp(1.0, -np.arange(max_halvings))
 
     def merit(r):
         x = np.abs(weights * r)
         return float(np.max(x)) if np.all(np.isfinite(x)) else math.inf
+
+    def merits(R):
+        """merit of each column of R; inf where any entry is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.abs(weights[:, None] * R)
+        return np.where(np.isfinite(x).all(axis=0), x.max(axis=0), math.inf)
 
     def converged(r, s):
         return bool(np.all(np.isfinite(r)) and np.all(np.isfinite(s))
@@ -219,13 +236,11 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
         elif since_best > 12:
             raise ConvergenceError(
                 f"Newton stagnated at residual {merit(raw):.3e}")
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * max(1.0, abs(v[j]))
-            e = h * np.eye(2)[j]
-            hi, _ = combine(v + e)
-            lo, _ = combine(v - e)
-            J[:, j] = weights * (hi - lo) / (2.0 * h)
+        h = 1e-7 * np.maximum(1.0, np.abs(v))
+        # columns v + h_0 e_0, v - h_0 e_0, v + h_1 e_1, v - h_1 e_1
+        F, _ = combine(v[:, None] + np.array([[h[0], -h[0], 0.0, 0.0],
+                                              [0.0, 0.0, h[1], -h[1]]]))
+        J = weights[:, None] * (F[:, 0::2] - F[:, 1::2]) / (2.0 * h)
         if not np.all(np.isfinite(J)):
             if at_root:
                 return v
@@ -239,27 +254,21 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
             raise ConvergenceError(
                 f"singular Jacobian at (mu, epsilon) = {tuple(v)}") from None
         base = merit(raw)
-        lam = 1.0
-        taken = None
-        fallback = None
-        for _ in range(max_halvings):
-            trial = v - lam * step
-            if float(np.max(np.abs(trial))) <= limit:
-                t_raw, t_scale = combine(trial)
-                if np.all(np.isfinite(t_raw)):
-                    fallback = (trial, t_raw, t_scale)
-                    if merit(t_raw) < base:
-                        taken = fallback
-                        break
-            lam *= 0.5
-        if taken is None:
-            if at_root:
-                return v
-            if fallback is None:
-                raise ConvergenceError(
-                    f"Newton left the search region at residual {base:.3e}")
-            taken = fallback
-        v, raw, scale = taken
+        trials = v[:, None] - lams * step[:, None]
+        t_raw, t_scale = combine(trials)
+        usable = ((np.abs(trials).max(axis=0) <= limit)
+                  & np.isfinite(t_raw).all(axis=0))
+        better = usable & (merits(t_raw) < base)
+        if better.any():
+            k = int(np.argmax(better))
+        elif at_root:
+            return v
+        elif usable.any():
+            k = max_halvings - 1 - int(np.argmax(usable[::-1]))
+        else:
+            raise ConvergenceError(
+                f"Newton left the search region at residual {base:.3e}")
+        v, raw, scale = trials[:, k], t_raw[:, k], t_scale[:, k]
         m = merit(raw)
         if m < 0.9 * best:
             best = m
@@ -388,15 +397,24 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
                                  "underflows to 0")
     mu = -2.0 * b2
     eps = -3.0 * b2
-    den = 2.0 * alpha * alpha / (9.0 * b2) - g_a - g_am
+    c = 2.0 * alpha * alpha / (9.0 * b2)
+    den = c - g_a - g_am
     if den <= 0.0:
         beta_max = abs(alpha) * math.sqrt(2.0 / (9.0 * (g_a + g_am)))
         raise NoDropletError(
             f"mu = {mu:g} lies at or below the critical value; "
             f"admissible beta range is (0, {beta_max:.6g})")
+    # x = (beta/beta_max)^2 and 1 - x = den/c; B = (1/sqrt(1 - x) - 1)/2
+    # written so that it does not cancel when beta << beta_max
+    x = (g_a + g_am) / c
+    if x == 0.0:
+        raise ConfigurationError(f"beta = {beta:g} is too small against "
+                                 f"alpha = {alpha:g}: (beta/beta_max)^2 "
+                                 "underflows to 0")
     A = beta / math.sqrt(den)
     D = -math.copysign(A, alpha)
-    B = 0.5 * (SQRT2 * abs(alpha) * A / (3.0 * b2) - 1.0)
+    r = math.sqrt(den / c)
+    B = 0.5 * x / (r * (1.0 + r))
     if B <= 0.0:
         raise OutOfScopeRegimeError(
             f"profile parameter B = {B:g} <= 0; family I needs g_a + g_am > 0")
@@ -513,13 +531,14 @@ def _refine_seed(cond, params: CouplingParams, mu_c: float, eps_c: float,
     return mu_c, eps_c
 
 
-def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
-                   n: int = 200, refine_levels: int = 3) -> list:
+def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
+                n: int, refine_levels: int):
     """Lattice-scan the two conditions for sign-change cells.
 
-    Returns (mu, epsilon) seeds ordered by how small the conditions already
-    are (best first), for feeding the Newton solvers.  Each seed is the
-    zoom-refined interior minimum of its cell, not the bare cell center.
+    Checks the family and the box and scans it at once, raising
+    NoRootFoundError when no cell changes sign.  Returns the number of
+    sign-change cells and a generator of their seeds, best cell first:
+    each cell is zoom-refined only when the generator reaches it.
     """
     if family == "I":
         raise ConfigurationError("family I is closed form; it takes no scan")
@@ -559,13 +578,25 @@ def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
     order = np.argsort(score[ii, jj], kind="stable")
     d_mu = 0.5 * (mus[1] - mus[0])
     d_eps = 0.5 * (epss[1] - epss[0])
-    seeds = []
-    for i, j in zip(ii[order], jj[order]):
-        mu_c = 0.5 * (mus[i] + mus[i + 1])
-        eps_c = 0.5 * (epss[j] + epss[j + 1])
-        seeds.append(_refine_seed(cond, params, mu_c, eps_c, d_mu, d_eps,
-                                  levels=refine_levels))
-    return seeds
+    seeds = (_refine_seed(cond, params, 0.5 * (mus[i] + mus[i + 1]),
+                          0.5 * (epss[j] + epss[j + 1]), d_mu, d_eps,
+                          levels=refine_levels)
+             for i, j in zip(ii[order], jj[order]))
+    return ii.size, seeds
+
+
+def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
+                   n: int = 200, refine_levels: int = 3) -> list:
+    """Lattice-scan the two conditions for sign-change cells.
+
+    Returns the (mu, epsilon) seeds of every sign-change cell, ordered by
+    how small the conditions already are (best first), for feeding the
+    Newton solvers.  Each seed is the zoom-refined interior minimum of its
+    cell, not the bare cell center.  solve_from_scan tries the same seeds
+    in the same order but refines each one only when it gets to it.
+    """
+    return list(_scan_seeds(params, family, mu_range, eps_range, n,
+                            refine_levels)[1])
 
 
 def default_scan_ranges(family: str, alpha: float):
@@ -581,15 +612,25 @@ def default_scan_ranges(family: str, alpha: float):
 def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
                     eps_range=None, n: int = 200,
                     tol: float | None = None) -> SolutionRecord:
-    """Scan for seeds, then try Newton from each candidate until one passes."""
+    """Scan for seeds, then try Newton from each candidate until one passes.
+
+    The candidates are grid_scan_seed's, in its order, but each is
+    zoom-refined only when it is about to be tried, so a scan whose first
+    seeds pass never refines the rest.  Seeds outside the family's sign
+    scope are skipped.  When every candidate fails, the NoRootFoundError
+    counts the candidates, the seeds tried and their failures by error
+    type, and quotes the last failure.
+    """
     if family not in ("II", "III"):
         raise ConfigurationError("scan-solve applies to families II and III")
     tol = _resolve_tol(tol)
     d_mu, d_eps = default_scan_ranges(family, params.alpha)
-    seeds = grid_scan_seed(params, family, d_mu if mu_range is None else mu_range,
-                           d_eps if eps_range is None else eps_range, n)
+    found, seeds = _scan_seeds(
+        params, family, d_mu if mu_range is None else mu_range,
+        d_eps if eps_range is None else eps_range, n, refine_levels=3)
     solve = solve_family_II if family == "II" else solve_family_III
-    failures = []
+    failures = Counter()
+    detail = "every seed violated sign preconditions"
     for mu_g, eps_g in seeds:
         if not _in_sign_scope(family, mu_g, eps_g):
             continue
@@ -597,7 +638,11 @@ def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
             return solve(params, (mu_g, eps_g), tol=tol)
         except (ConvergenceError, OutOfScopeRootError, InconsistentRootError,
                 SingularParameterError) as exc:
-            failures.append(str(exc))
-    detail = failures[-1] if failures else "every seed violated sign preconditions"
-    raise NoRootFoundError(
-        f"all {len(seeds)} scan candidates failed; last failure: {detail}")
+            failures[type(exc).__name__] += 1
+            detail = str(exc)
+    summary = f"{found} candidates, {sum(failures.values())} tried"
+    if failures:
+        summary += ": " + ", ".join(f"{k} {name}"
+                                    for name, k in failures.most_common())
+    raise NoRootFoundError(f"no scan candidate solves family {family} "
+                           f"({summary}); last failure: {detail}")

@@ -122,16 +122,26 @@ class CsvData:
     manifest: str | None
 
 
-def _parse_cell(cell: str):
+def _column_kind(cell: str):
+    """float for a cell float() accepts, else str."""
     try:
-        return float(cell)
+        float(cell)
     except ValueError:
-        return cell
+        return str
+    return float
 
 
 def read_csv(path: str) -> CsvData:
-    """Read a CSV written by write_csv; floats are converted back."""
-    comments, header, rows, manifest = [], None, [], None
+    """Read a CSV written by write_csv; number columns come back as floats.
+
+    The first data row fixes each column's kind, once per column: a column
+    whose first cell float() accepts is a number column, every other
+    column is text and keeps its cells as written, even a later "nan" or
+    "1".  (A text column whose first cell reads as a number therefore
+    comes back as numbers.)  A number cell that float() rejects, or a row
+    with another number of cells than the first, raises ValueError.
+    """
+    comments, header, rows, manifest, kinds = [], None, [], None, None
     with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.rstrip("\n")
@@ -146,7 +156,13 @@ def read_csv(path: str) -> CsvData:
             elif header is None:
                 header = line.split(",")
             else:
-                rows.append([_parse_cell(c) for c in line.split(",")])
+                cells = line.split(",")
+                if kinds is None:
+                    kinds = list(map(_column_kind, cells))
+                if len(cells) != len(kinds):
+                    raise ValueError(f"{path}: a row has {len(cells)} cells, "
+                                     f"the first has {len(kinds)}")
+                rows.append([kind(c) for kind, c in zip(kinds, cells)])
     if header is None:
         raise ValueError(f"{path} has no header line")
     return CsvData(comments=comments, header=header, rows=rows,

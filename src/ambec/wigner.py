@@ -142,7 +142,9 @@ def phase_space_metrics(w: WignerGrid) -> PhaseSpaceMetrics:
 
     Var(x), Var(p) come from the marginals; ratio = Var(x)/Var(p) is the
     squeezing proxy; negative_volume integrates |W| over the W < 0 region;
-    w00 is the value at the lattice point nearest the origin.
+    w00 is the value at the lattice point nearest the origin.  w_min is the
+    minimum of W; (w_min_x, w_min_p) is the first lattice point, in x-major
+    order, whose value lies within 1e-12 max|W| of it.
     """
     if not w.norm > 0.0:
         raise ConfigurationError(f"cannot normalize: norm = {w.norm:g}")
@@ -156,13 +158,18 @@ def phase_space_metrics(w: WignerGrid) -> PhaseSpaceMetrics:
     var_x = float(np.sum((w.x - mean_x) ** 2 * P_x)) * dx
     var_p = float(np.sum((w.p - mean_p) ** 2 * P_p)) * dp
 
-    i_min, l_min = np.unravel_index(int(np.argmin(W)), W.shape)
+    # W of a symmetric field has mirror-image minima that differ only by
+    # rounding; report the first one (x-major) within 1e-12 of the scale of
+    # W, so the location does not flip with the last bits of the input
+    w_min = float(np.min(W))
+    near = W <= w_min + 1e-12 * float(np.max(np.abs(W)))
+    i_min, l_min = np.unravel_index(int(np.argmax(near)), W.shape)
     neg = float(np.sum(np.abs(np.minimum(W, 0.0)))) * dx * dp
     i0 = int(np.argmin(np.abs(w.x)))
     l0 = int(np.argmin(np.abs(w.p)))
     return PhaseSpaceMetrics(
         var_x=var_x, var_p=var_p, ratio=var_x / var_p,
-        w_min=float(W[i_min, l_min]), w_min_x=float(w.x[i_min]),
+        w_min=w_min, w_min_x=float(w.x[i_min]),
         w_min_p=float(w.p[l_min]), negative_volume=neg,
         w00=float(W[i0, l0]))
 

@@ -150,6 +150,18 @@ class TestSolve:
         assert err.count("error:") == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_family_I_small_beta(self, tmp_path):
+        # B = (beta/beta_max)^2 / 4 to first order; computed as
+        # 0.5 * (1/sqrt(1 - x) - 1) it rounded to 0 and exited 2
+        out = tmp_path / "x.json"
+        rc = main(["solve", "--family", "I", *FIG1, "--beta", "1e-9",
+                   "--out", str(out)])
+        assert rc == 0
+        rec = SolutionRecord.from_json(out.read_text())
+        assert rec.B > 0.0
+        assert rec.B == pytest.approx(9.0 * 0.2 * 1e-18 / (2.0 * 4.0) / 4.0,
+                                      rel=1e-12)
+
     def test_out_of_scope_root(self, tmp_path):
         rc = main(["solve", "--family", "II", *CAT2,
                    "--seed-mu", "-1", "--seed-epsilon", "-5",

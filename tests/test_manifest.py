@@ -49,13 +49,21 @@ CELLS = {
     "float": st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS),
                        st.floats().map(np.float64)),
     "int": st.integers(-(10**15) + 1, 10**15 - 1),
-    # text that read_csv gives back as text: no separators, no leading
-    # comment mark, nothing float() accepts
-    "text": st.text(st.characters(exclude_characters=",\r\n",
-                                  exclude_categories=("Cs",)),
-                    min_size=1, max_size=8).filter(
-        lambda s: not s.startswith("#") and not _parses_as_float(s)),
+    # text that read_csv gives back as text after the first row: no
+    # separators and no leading comment mark, but it may read as a number
+    "text": st.one_of(
+        st.text(st.characters(exclude_characters=",\r\n",
+                              exclude_categories=("Cs",)),
+                min_size=1, max_size=8).filter(
+            lambda s: not s.startswith("#")),
+        st.sampled_from(["nan", "inf", "-inf", "1", "-0", "1e5", "0x1",
+                         " 2 ", "Infinity", "1_0"])),
 }
+
+#: the first row fixes a column's kind on reading, so a text cell there
+#: must not be one that float() accepts
+FIRST_ROW_CELLS = {**CELLS, "text": CELLS["text"].filter(
+    lambda s: not _parses_as_float(s))}
 
 #: row counts around the writer's block boundaries
 ROW_COUNTS = [0, 1, 2, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
@@ -68,7 +76,8 @@ def tables(draw, min_rows=0, max_rows=ROW_COUNTS[-1]):
     kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
                           max_size=5))
     distinct = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)),
-                             min_size=1, max_size=6))
+                             min_size=0, max_size=5))
+    distinct.insert(0, draw(st.tuples(*(FIRST_ROW_CELLS[k] for k in kinds))))
     n = draw(st.sampled_from([c for c in ROW_COUNTS
                               if min_rows <= c <= max_rows]))
     rows = [distinct[i % len(distinct)] for i in range(n)]

@@ -98,6 +98,23 @@ class TestCatStates:
         assert m.negative_volume == pytest.approx(0.328398532371, rel=1e-9)
         assert m.w_min_x == 0.0 and m.w_min_p == 0.0
 
+    def test_minimum_location_ignores_rounding_between_mirrors(self,
+                                                               even_cat_w):
+        # the even cat's minima sit at p = -p0 and p = +p0; nudging either
+        # one down by a few ulps must not move the reported location
+        w = even_cat_w
+        first = phase_space_metrics(w)
+        assert first.w_min_p < 0.0
+        l_mirror = int(np.argmin(np.abs(w.p + first.w_min_p)))
+        i = int(np.argmin(np.abs(w.x - first.w_min_x)))
+        W = w.W.copy()
+        W[i, l_mirror] -= 4e-16 * abs(W[i, l_mirror])
+        nudged = phase_space_metrics(
+            WignerGrid(x=w.x, p=w.p, W=W, norm=w.norm))
+        assert (nudged.w_min_x, nudged.w_min_p) == (first.w_min_x,
+                                                    first.w_min_p)
+        assert nudged.w_min == W[i, l_mirror] / w.norm
+
     def test_odd_fringe_spacing(self, odd_cat_w):
         s = 6.21077 / 1.414
         assert fringe_spacing(odd_cat_w) == pytest.approx(math.pi / s, rel=0.05)
