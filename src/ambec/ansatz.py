@@ -73,21 +73,32 @@ def superposed_profile(kind: str, beta: float, delta: float, x):
     bright_odd:  [sech(bx-d) - sech(bx+d)] / (2 sinh d)
 
     Each equals the matching rational profile with B = sinh^2(delta).
+    Raises ConfigurationError where beta * x or the normalization
+    overflows (|delta| above about 710).
     """
-    u = beta * np.asarray(x, dtype=float)
-    if kind == "kink_pair":
-        if delta == 0.0:
-            raise SingularParameterError("kink_pair needs delta != 0")
-        out = (np.tanh(u + delta) - np.tanh(u - delta)) / math.sinh(2.0 * delta)
-    elif kind == "bright_even":
-        out = (_sech(u + delta) + _sech(u - delta)) / (2.0 * math.cosh(delta))
-    elif kind == "bright_odd":
-        if delta == 0.0:
-            raise SingularParameterError("bright_odd needs delta != 0")
-        out = (_sech(u - delta) - _sech(u + delta)) / (2.0 * math.sinh(delta))
-    else:
+    try:
+        with np.errstate(over="raise"):
+            u = beta * np.asarray(x, dtype=float)
+            if kind == "kink_pair":
+                if delta == 0.0:
+                    raise SingularParameterError("kink_pair needs delta != 0")
+                out = ((np.tanh(u + delta) - np.tanh(u - delta))
+                       / math.sinh(2.0 * delta))
+            elif kind == "bright_even":
+                out = ((_sech(u + delta) + _sech(u - delta))
+                       / (2.0 * math.cosh(delta)))
+            elif kind == "bright_odd":
+                if delta == 0.0:
+                    raise SingularParameterError("bright_odd needs delta != 0")
+                out = ((_sech(u - delta) - _sech(u + delta))
+                       / (2.0 * math.sinh(delta)))
+            else:
+                raise ConfigurationError(
+                    f"unknown kind {kind!r}; expected one of {SUPERPOSED_KINDS}")
+    except (OverflowError, FloatingPointError) as e:
         raise ConfigurationError(
-            f"unknown kind {kind!r}; expected one of {SUPERPOSED_KINDS}")
+            f"{kind} overflows at beta = {beta:g}, delta = {delta:g}: {e}"
+        ) from e
     return out if np.ndim(x) else float(out)
 
 

@@ -12,14 +12,14 @@ import math
 import pathlib
 import sys
 import time
-from itertools import chain, repeat
 
 import numpy as np
 
 from . import ansatz, consistency, dynamics, potentials, wigner
 from .core import CouplingParams, Grid, SolutionRecord, require_finite
 from .errors import AmbecError, ConfigurationError
-from .manifest import RunManifest, format_float, open_output, write_csv
+from .manifest import (RunManifest, format_float, open_output, write_csv,
+                       write_lattice_csv)
 
 
 def _manifest_path(out: str) -> str:
@@ -96,6 +96,7 @@ def cmd_solve(args) -> RunManifest:
 
 
 def cmd_profile(args) -> RunManifest:
+    require_finite(t=args.t)
     record = _load_record(args.solution)
     grid = _grid_for(record, args, power_of_two=False)
     fields = ansatz.sample_fields(record, grid, t=args.t)
@@ -178,6 +179,9 @@ def cmd_wigner(args) -> RunManifest:
             raise ConfigurationError(
                 "need --solution, or all of --beta, --delta, --kind")
         kind, beta, delta = args.kind, args.beta, args.delta
+        require_finite(beta=beta, delta=delta)
+        if not beta > 0.0:
+            raise ConfigurationError(f"--beta must be positive, got {beta}")
 
         def profile(x):
             return ansatz.superposed_profile(kind, beta, delta, x)
@@ -188,13 +192,9 @@ def cmd_wigner(args) -> RunManifest:
     w = wigner.wigner_transform(profile, grid, p_count=args.p_count)
     metrics = wigner.phase_space_metrics(w)
 
-    # x-major rows; each lattice coordinate is formatted once, not per cell
-    ps = [format_float(p) for p in w.p.tolist()]
-    rows = chain.from_iterable(
-        zip(repeat(format_float(x), len(ps)), ps, row.tolist())
-        for x, row in zip(w.x.tolist(), w.W))
-    write_csv(args.out, ["x", "p", "W"], rows, _manifest_path(args.out),
-              comments=[f"convention: {w.convention}"])
+    write_lattice_csv(args.out, ["x", "p", "W"], w.x, w.p, w.W,
+                      _manifest_path(args.out),
+                      comments=[f"convention: {w.convention}"])
 
     try:
         fringe = wigner.fringe_spacing(w)

@@ -205,6 +205,7 @@ class Grid:
         require_finite(x_min=self.x_min, x_max=self.x_max)
         if not self.x_max > self.x_min:
             raise ConfigurationError("grid needs x_max > x_min")
+        require_finite(grid_width=self.x_max - self.x_min)
 
     @property
     def dx(self) -> float:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 TOOL_VERSION = "0.1.0"
@@ -73,6 +75,19 @@ class RunManifest:
                    version=body["version"], duration_s=body["duration_s"])
 
 
+@contextmanager
+def _csv_output(path: str, header, manifest_path: str | None, comments):
+    """Open a CSV for writing: comment lines and the header first, then the
+    body the caller writes, then the manifest pointer comment on success."""
+    with open_output(path) as f:
+        for c in comments:
+            f.write(f"# {c}\n")
+        f.write(",".join(header) + "\n")
+        yield f
+        if manifest_path is not None:
+            f.write(f"# manifest: {manifest_path}\n")
+
+
 def write_csv(path: str, header, rows, manifest_path: str | None = None,
               comments=()) -> None:
     """One header line, %.15g floats, trailing manifest pointer comment.
@@ -87,10 +102,7 @@ def write_csv(path: str, header, rows, manifest_path: str | None = None,
     so a TypeError can leave a partly written file.
     """
     rows = iter(rows)
-    with open_output(path) as f:
-        for c in comments:
-            f.write(f"# {c}\n")
-        f.write(",".join(header) + "\n")
+    with _csv_output(path, header, manifest_path, comments) as f:
         block = list(islice(rows, _BLOCK_ROWS))
         if block:
             width = len(block[0])
@@ -108,8 +120,28 @@ def write_csv(path: str, header, rows, manifest_path: str | None = None,
                                     "every cell of it must be a str")
             f.write((row_fmt * len(block)) % tuple(chain.from_iterable(block)))
             block = list(islice(rows, _BLOCK_ROWS))
-        if manifest_path is not None:
-            f.write(f"# manifest: {manifest_path}\n")
+
+
+def write_lattice_csv(path: str, header, x, p, W,
+                      manifest_path: str | None = None, comments=()) -> None:
+    """A lattice W[i, j] on x[i] x p[j] as x-major rows x[i], p[j], W[i, j].
+
+    Writes the bytes write_csv writes for those rows, with every value in
+    "%.15g".  Each p is formatted once into a row template and each x once
+    per row, so only the W values are rendered cell by cell.  W must have
+    the shape (len(x), len(p)), else TypeError, raised before the file is
+    opened.
+    """
+    W = np.asarray(W, dtype=float)
+    if W.shape != (len(x), len(p)):
+        raise TypeError(f"{path}: W has shape {W.shape}, the lattice is "
+                        f"({len(x)}, {len(p)})")
+    # "<x>".join(pieces) is the row "<x>,<p_0>,%.15g\n<x>,<p_1>,%.15g\n..."
+    pieces = ["", *(f",{format_float(v)},%.15g\n"
+                    for v in np.asarray(p, dtype=float).tolist())]
+    with _csv_output(path, header, manifest_path, comments) as f:
+        for xi, row in zip(np.asarray(x, dtype=float).tolist(), W):
+            f.write(format_float(xi).join(pieces) % tuple(row.tolist()))
 
 
 @dataclass

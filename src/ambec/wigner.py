@@ -144,19 +144,28 @@ def phase_space_metrics(w: WignerGrid) -> PhaseSpaceMetrics:
     squeezing proxy; negative_volume integrates |W| over the W < 0 region;
     w00 is the value at the lattice point nearest the origin.  w_min is the
     minimum of W; (w_min_x, w_min_p) is the first lattice point, in x-major
-    order, whose value lies within 1e-12 max|W| of it.
+    order, whose value lies within 1e-12 max|W| of it.  A norm that is not
+    positive, marginal variances that overflow, or Var(p) = 0 raise
+    ConfigurationError.
     """
     if not w.norm > 0.0:
         raise ConfigurationError(f"cannot normalize: norm = {w.norm:g}")
     W = w.W / w.norm
     dx, dp = w.dx, w.dp
 
-    P_x = W.sum(axis=1) * dp
-    P_p = W.sum(axis=0) * dx
-    mean_x = float(np.sum(w.x * P_x)) * dx
-    mean_p = float(np.sum(w.p * P_p)) * dp
-    var_x = float(np.sum((w.x - mean_x) ** 2 * P_x)) * dx
-    var_p = float(np.sum((w.p - mean_p) ** 2 * P_p)) * dp
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            P_x = W.sum(axis=1) * dp
+            P_p = W.sum(axis=0) * dx
+            mean_x = float(np.sum(w.x * P_x)) * dx
+            mean_p = float(np.sum(w.p * P_p)) * dp
+            var_x = float(np.sum((w.x - mean_x) ** 2 * P_x)) * dx
+            var_p = float(np.sum((w.p - mean_p) ** 2 * P_p)) * dp
+    except FloatingPointError as e:
+        raise ConfigurationError(f"marginal variances overflow: {e}") from e
+    if var_p == 0.0 or not math.isfinite(var_x / var_p):
+        raise ConfigurationError(
+            f"Var(x)/Var(p) = {var_x:g}/{var_p:g} is not finite")
 
     # W of a symmetric field has mirror-image minima that differ only by
     # rounding; report the first one (x-major) within 1e-12 of the scale of

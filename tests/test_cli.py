@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, CSV/JSON outputs, determinism."""
+import contextlib
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ambec.ansatz import SUPERPOSED_KINDS
 from ambec.cli import main
 from ambec.core import SolutionRecord
 from ambec.manifest import RunManifest, read_csv, write_csv
@@ -33,6 +39,15 @@ NUMERIC_FLAGS = {
               "--count", "3", "--grid-n", "64"],
              ["--g-a", "--g-am", "--alpha", "--mu", "--mu-min", "--mu-max",
               "--tol"]),
+    "wigner": (["wigner", "--beta", "1", "--delta", "3", "--kind",
+                "bright_even", "--grid-n", "64"],
+               ["--beta", "--delta", "--grid-l"]),
+    "profile": (["profile", "--solution", "SOLUTION", "--grid-n", "64"],
+                ["--grid-l", "--t"]),
+    "potential": (["potential", "--solution", "SOLUTION", "--grid-n", "64"],
+                  ["--grid-l"]),
+    "residual": (["residual", "--solution", "SOLUTION", "--grid-n", "64"],
+                 ["--grid-l"]),
 }
 
 
@@ -324,12 +339,70 @@ class TestWigner:
         metrics = json.loads((tmp_path / "wm.metrics.json").read_text())
         assert metrics["ratio"] > 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--beta", "0", "--delta", "0", "--kind", "kink_pair"],
+        ["--beta=-1", "--delta", "1", "--kind", "bright_odd",
+         "--grid-l", "40"],
+        ["--beta", "1e-300", "--delta", "0", "--kind", "bright_even"],
+        ["--beta", "1e-300", "--delta", "710", "--kind", "kink_pair"],
+        ["--beta", "1", "--delta", "1e300", "--kind", "bright_even",
+         "--grid-l", "1e-300"],
+        ["--beta", "1e300", "--delta", "0", "--kind", "kink_pair",
+         "--grid-l", "1e300"],
+        ["--beta", "1", "--delta", "1", "--kind", "bright_even",
+         "--grid-l", "1e308"],
+    ], ids=["beta-zero", "beta-negative", "var-p-zero", "sinh-overflow",
+            "cosh-overflow", "beta-x-overflow", "grid-width-overflow"])
+    def test_degenerate_inline_input(self, argv, tmp_path, capsys):
+        rc = main(["wigner", *argv, "--grid-n", "64",
+                   "--out", str(tmp_path / "w.csv")])
+        _assert_one_error_line(rc, capsys.readouterr().err)
+
     def test_source_flags_are_exclusive(self, rec_path, tmp_path):
         rc = main(["wigner", "--solution", str(rec_path), "--beta", "1",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         rc = main(["wigner", "--beta", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+
+#: a value for one of wigner's inline float flags, or the flag left out
+INLINE_FLOATS = st.none() | st.floats() | st.sampled_from(
+    [0.0, -0.0, 1e-300, 5e-324, 1e-10, 1.0, 6.219, 710.0, 1e300, 1e308,
+     -1.0])
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "w.csv"
+
+
+class TestWignerInlineFuzz:
+    # --grid-n 64 and --p-count <= 256 keep every draw a small lattice
+    @settings(derandomize=True, deadline=None)
+    @given(beta=INLINE_FLOATS, delta=INLINE_FLOATS, grid_l=INLINE_FLOATS,
+           kind=st.none() | st.sampled_from(SUPERPOSED_KINDS),
+           p_count=st.none() | st.integers(0, 256))
+    def test_exit_code_and_one_error_line(self, fuzz_out, beta, delta,
+                                          grid_l, kind, p_count):
+        argv = ["wigner", "--grid-n", "64", "--out", str(fuzz_out)]
+        for flag, value in (("--beta", beta), ("--delta", delta),
+                            ("--grid-l", grid_l), ("--kind", kind),
+                            ("--p-count", p_count)):
+            if value is not None:
+                argv.append(f"{flag}={value}")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        err = err.getvalue()
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if rc:
+            assert err.count("error:") == 1 and err.startswith("error: ")
+        assert [str(w.message) for w in caught] == []
 
 
 class TestScan:

@@ -121,6 +121,10 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(1.0, -1.0, 64)
 
+    def test_width_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigurationError, match="grid_width"):
+            Grid(-1e308, 1e308, 64)
+
     @pytest.mark.parametrize("n,ok", [(256, True), (100, False), (96, False)])
     def test_power_of_two_gate(self, n, ok):
         g = Grid(-1.0, 1.0, n)

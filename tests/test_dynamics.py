@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ambec._kernels import nonlinear_step
 from ambec.ansatz import sample_fields
+from ambec.consistency import solve_family_I
 from ambec.core import CouplingParams, FieldPair, Grid
 from ambec.dynamics import (PropagatorConfig, conserved_number, default_grid,
                             evolve, kernel_backend, make_grid,
@@ -135,6 +138,35 @@ class TestStationaryEvolution:
         assert fields.t == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(fields.psi_a - start.psi_a)) < 1e-7
         assert np.max(np.abs(fields.psi_m - start.psi_m)) < 1e-7
+
+
+class TestNumberConservation:
+    # the admissible family I couplings and beta range of
+    # test_consistency.py::TestFamilyIClosedForm
+    @settings(derandomize=True, deadline=None)
+    @given(g_a=st.floats(-10.0, 10.0), g_am=st.floats(-10.0, 10.0),
+           alpha=st.floats(0.1, 10.0), negative_alpha=st.booleans(),
+           fraction=st.floats(1e-3, 0.999) | st.floats(1e-12, 1e-8))
+    def test_total_number_over_50_steps(self, g_a, g_am, alpha,
+                                        negative_alpha, fraction):
+        assume(g_a + g_am >= 0.1)
+        if negative_alpha:
+            alpha = -alpha
+        beta_max = abs(alpha) * math.sqrt(2.0 / (9.0 * (g_a + g_am)))
+        rec = solve_family_I(g_a, g_am, alpha, fraction * beta_max)
+        fields, grid = _fields(rec, 256)
+        # at most half the step at which the kinetic phase dt*max(k)^2/2
+        # wraps, and |mu| dt at most the README record's 2e-3: the RK4
+        # substep's N error grows as dt^6, so dt = 1e-3 alone reaches 4e-8
+        # relative at mu = -33
+        dt = min(1e-3, math.pi / float(np.max(grid.k() ** 2)),
+                 2e-3 / abs(rec.mu))
+        diags = evolve(fields, rec.params, PropagatorConfig(
+            dt=dt, T=50 * dt, record_every=50))
+        assert len(diags) == 2
+        first, last = diags
+        assert first.N == first.N_a + 2.0 * first.N_m
+        assert abs(last.N - first.N) <= 1e-10 * first.N
 
 
 class TestDecoupledLimit:

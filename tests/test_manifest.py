@@ -1,4 +1,4 @@
-"""CSV writer: same bytes as the per-cell rule, kind contract, Wigner layout."""
+"""CSV writers: same bytes as the per-cell rule, kind contract, Wigner layout."""
 import math
 import pathlib
 
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ambec import ansatz, dynamics, wigner
 from ambec.cli import main
-from ambec.manifest import _BLOCK_ROWS, read_csv, write_csv
+from ambec.manifest import (_BLOCK_ROWS, read_csv, write_csv,
+                            write_lattice_csv)
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -143,12 +144,51 @@ class TestWriteCsv:
             write_csv(str(csv_path), ["a", "b"], rows)
 
 
-def _wigner_reference(w, out) -> bytes:
+def _lattice_reference(x, p, W, manifest=None, comments=()) -> bytes:
     """The x-major layout of the original command: x repeated, p tiled."""
-    rows = zip(np.repeat(w.x, len(w.p)), np.tile(w.p, len(w.x)), w.W.ravel())
+    rows = zip(np.repeat(x, len(p)), np.tile(p, len(x)), W.ravel())
+    return reference_csv(["x", "p", "W"], rows, manifest, comments)
+
+
+def _wigner_reference(w, out) -> bytes:
     manifest = str(pathlib.Path(out).with_suffix("")) + ".manifest.json"
-    return reference_csv(["x", "p", "W"], rows, manifest,
-                         comments=[f"convention: {w.convention}"])
+    return _lattice_reference(w.x, w.p, w.W, manifest,
+                              comments=[f"convention: {w.convention}"])
+
+
+LATTICE_FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+
+
+@st.composite
+def lattices(draw):
+    """(x, p, W) with W of shape (len(x), len(p)), 1x1 up to 9x9."""
+    nx, n_p = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    x, p, W = (draw(st.lists(LATTICE_FLOATS, min_size=n, max_size=n))
+               for n in (nx, n_p, nx * n_p))
+    return np.array(x), np.array(p), np.array(W).reshape(nx, n_p)
+
+
+class TestWriteLatticeCsv:
+    @SETTINGS
+    @given(lattice=lattices(), comments=st.lists(st.sampled_from(
+        ["convention: wigner-1d-hbar1-v1", ""]), max_size=2),
+        manifest=st.sampled_from([None, "w.manifest.json"]))
+    def test_bytes_match_x_major_rows(self, csv_path, lattice, comments,
+                                      manifest):
+        x, p, W = lattice
+        write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W, manifest,
+                          comments=comments)
+        assert csv_path.read_bytes() == _lattice_reference(x, p, W, manifest,
+                                                           comments)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 5), (4,), (12,),
+                                       (3, 4, 1)])
+    def test_shape_mismatch_raises(self, tmp_path, shape):
+        out = tmp_path / "w.csv"
+        with pytest.raises(TypeError):
+            write_lattice_csv(str(out), ["x", "p", "W"], np.zeros(3),
+                              np.zeros(4), np.zeros(shape))
+        assert not out.exists()
 
 
 class TestWignerBytes:
