@@ -1,13 +1,33 @@
-"""Nonlinear substep kernel of the split-step propagator (numpy).
+"""Nonlinear substep kernel of the split-step propagator.
 
 The pointwise nonlinear+coupling flow used between kinetic steps, on the
-stacked field pair psi = (psi_a, psi_m) of shape (2, n).
+stacked field pair psi = (psi_a, psi_m) of shape (2, n).  `numpy_step` is
+the reference.  `nonlinear_step` runs the same RK4 as a C loop over grid
+points (`_kernels.c`) and falls back to `numpy_step` when that cannot be
+built or loaded.
+
+The C file is compiled on the first call to `nonlinear_step` or
+`kernel_backend`, never at import, with the system `cc` and CFLAGS: no
+-march=native, no -ffast-math and no FMA contraction, so its output does
+not depend on the CPU.  The library goes into $XDG_CACHE_HOME/ambec (else
+~/.cache/ambec) under a name keyed by the sha256 of the source and the
+flags, so later processes only load it.
 """
 from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import pathlib
+import shutil
+import tempfile
 
 import numpy as np
 
 from .core import SQRT2
+
+SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
+CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _rhs(psi, g_a, g_m, g_am, alpha, epsilon):
@@ -21,7 +41,7 @@ def _rhs(psi, g_a, g_m, g_am, alpha, epsilon):
     return out
 
 
-def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
+def numpy_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     """Advance the local nonlinear+coupling flow by dt with classical RK4.
 
     psi stacks (psi_a, psi_m) along axis 0.  Integrates i dpsi_a/dt =
@@ -43,3 +63,81 @@ def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     acc += 2.0 * k
     acc += _rhs(psi + h * k, *args)
     return psi + (h / 6.0) * acc
+
+
+def _cache_dir() -> pathlib.Path:
+    """Where the compiled kernel is kept: $XDG_CACHE_HOME/ambec or
+    ~/.cache/ambec."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: not usable
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return pathlib.Path(base) / "ambec"
+
+
+@functools.cache
+def _c_step():
+    """The C kernel's entry point, built and loaded once per process, or
+    None when there is no compiler or the build, cache write or load fails.
+
+    Each build compiles into a temporary file in the cache directory and
+    renames it into place, so a process never loads a half-written library.
+    Compiler output is discarded: a failed build prints nothing.
+    """
+    # imported here: commands that never step do not pay for them
+    import hashlib
+    import subprocess
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        key = hashlib.sha256(SOURCE.read_bytes()
+                             + " ".join(CFLAGS).encode()).hexdigest()
+        lib = _cache_dir() / f"kernels-{key[:16]}.so"
+        if not lib.exists():
+            lib.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=f".{lib.name}.", dir=lib.parent)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)],
+                               check=True, capture_output=True,
+                               stdin=subprocess.DEVNULL, timeout=120)
+                os.replace(tmp, lib)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        step = ctypes.CDLL(str(lib)).nonlinear_step
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    step.argtypes = ([ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
+                     + [ctypes.c_double] * 7)
+    step.restype = None
+    return step
+
+
+def kernel_backend() -> str:
+    """Which nonlinear-step implementation runs: "c" or "python" (numpy).
+
+    Builds or loads the C kernel on first use, like nonlinear_step.
+    """
+    return "python" if _c_step() is None else "c"
+
+
+def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
+    """numpy_step, run by the C kernel when it is available.
+
+    The two agree to rounding: the C loop takes every sum and product in
+    numpy's order, but numpy may fuse its complex products on CPUs with
+    FMA.  Returns a new array; the input is not modified.
+    """
+    step = _c_step()
+    if step is None:
+        return numpy_step(psi, dt, g_a, g_m, g_am, alpha, epsilon)
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    if psi.shape[:1] != (2,):
+        raise ValueError(f"psi must stack two fields along axis 0, "
+                         f"got shape {psi.shape}")
+    out = np.empty_like(psi)
+    step(psi.ctypes.data, out.ctypes.data, psi[0].size, dt, g_a, g_m, g_am,
+         SQRT2 * alpha, alpha / SQRT2, epsilon)
+    return out

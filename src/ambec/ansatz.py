@@ -48,20 +48,28 @@ def rational_profile(family: str, amp: float, B: float, beta: float, x):
     """Evaluate amp * {1, cosh, sinh}(beta x) / (B + cosh^2(beta x)).
 
     The numerator is 1 for family I, cosh for family II, sinh for family III.
+    Raises ConfigurationError where beta * x or 2|beta x| overflows (|x|
+    near the top of the float range).
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ConfigurationError("profile evaluation needs finite x")
-    q, r, sgn = _stable_parts(beta, xs)
-    denom = 4.0 * B * q + (1.0 + q) ** 2
-    if family == "I":
-        out = amp * 4.0 * q / denom
-    elif family == "II":
-        out = amp * 2.0 * r * (1.0 + q) / denom
-    elif family == "III":
-        out = amp * sgn * 2.0 * r * (1.0 - q) / denom
-    else:
-        raise ConfigurationError(f"unknown family {family!r}")
+    try:
+        with np.errstate(over="raise"):
+            q, r, sgn = _stable_parts(beta, xs)
+            denom = 4.0 * B * q + (1.0 + q) ** 2
+            if family == "I":
+                out = amp * 4.0 * q / denom
+            elif family == "II":
+                out = amp * 2.0 * r * (1.0 + q) / denom
+            elif family == "III":
+                out = amp * sgn * 2.0 * r * (1.0 - q) / denom
+            else:
+                raise ConfigurationError(f"unknown family {family!r}")
+    except FloatingPointError as e:
+        raise ConfigurationError(
+            f"family {family} profile overflows at beta = {beta:g} and |x| "
+            f"up to {float(np.max(np.abs(xs))):g}: {e}") from e
     return out if np.ndim(x) else float(out)
 
 

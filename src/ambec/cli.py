@@ -153,7 +153,8 @@ def cmd_evolve(args) -> RunManifest:
     print(f"evolved to t={format_float(last.t)}: drift_a={last.drift_a:.3e} "
           f"drift_m={last.drift_m:.3e} -> {args.out}")
     return RunManifest("evolve", _params_of(args), inputs=[args.solution],
-                       outputs=[args.out])
+                       outputs=[args.out], environment={
+                           "kernel_backend": dynamics.kernel_backend()})
 
 
 def cmd_wigner(args) -> RunManifest:

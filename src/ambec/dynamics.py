@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import nonlinear_step
+from ._kernels import kernel_backend, nonlinear_step  # noqa: F401
 from .core import (SQRT2, CouplingParams, Diagnostics, FieldPair, Grid,
                    require_power_of_two)
 from .errors import BlowUpError, ConfigurationError, InstabilityError
@@ -164,8 +164,3 @@ def evolve(fields: FieldPair, params: CouplingParams,
                     f"at t = {fields.t:g} exceeds "
                     f"{INSTABILITY_FACTOR * cfg.tol_drift:g}")
     return out
-
-
-def kernel_backend() -> str:
-    """Which nonlinear-step implementation is active: the numpy one."""
-    return "python"

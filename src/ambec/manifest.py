@@ -1,9 +1,10 @@
 """Run manifests and deterministic CSV input/output.
 
 Every data file the CLI writes is paired with a manifest JSON recording
-the command, its full parameter set, tool version, file paths and wall
-time.  Data files themselves are byte-identical across reruns; only the
-manifest's duration field may differ.
+the command, its full parameter set, tool version, file paths, wall time
+and, for `evolve`, the kernel backend.  Data files themselves are
+byte-identical across reruns; only the manifest's duration field may
+differ.
 """
 from __future__ import annotations
 
@@ -44,7 +45,11 @@ def open_output(path: str):
 
 @dataclass
 class RunManifest:
-    """What produced a set of output files."""
+    """What produced a set of output files.
+
+    environment holds what the outputs depend on beyond the parameters:
+    `evolve` records the kernel_backend that ran its nonlinear substep.
+    """
 
     command: str
     parameters: dict
@@ -52,6 +57,7 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     version: str = TOOL_VERSION
     duration_s: float = 0.0
+    environment: dict = field(default_factory=dict)
 
     def write(self, path: str) -> None:
         body = {
@@ -61,6 +67,7 @@ class RunManifest:
             "outputs": list(self.outputs),
             "version": self.version,
             "duration_s": self.duration_s,
+            "environment": self.environment,
         }
         with open_output(path) as f:
             json.dump(body, f, indent=2, sort_keys=True)
@@ -72,7 +79,8 @@ class RunManifest:
             body = json.load(f)
         return cls(command=body["command"], parameters=body["parameters"],
                    inputs=body["inputs"], outputs=body["outputs"],
-                   version=body["version"], duration_s=body["duration_s"])
+                   version=body["version"], duration_s=body["duration_s"],
+                   environment=body.get("environment", {}))
 
 
 @contextmanager

@@ -1,4 +1,5 @@
-"""Shared fixtures: one solved record per reference coupling set.
+"""Shared fixtures: a private kernel cache and one solved record per
+reference coupling set.
 
 Seeds for the Newton solves were frozen from coarse parameter-box scans;
 records are session-scoped since they are immutable.
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from ambec import _kernels
 from ambec.consistency import solve_family_I, solve_family_II, solve_family_III
 from ambec.core import CouplingParams
 
@@ -14,6 +16,16 @@ ALPHA_II_HIGH = 0.230806
 ALPHA_II_LOW = 1.584335
 ALPHA_III_HIGH = 0.059261
 ALPHA_III_LOW = 0.0562413
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the C kernel into a fresh cache directory, not the user's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg")))
+        _kernels._c_step.cache_clear()
+        yield
+    _kernels._c_step.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ambec.ansatz import SUPERPOSED_KINDS
 from ambec.cli import main
 from ambec.core import SolutionRecord
+from ambec.dynamics import kernel_backend
 from ambec.manifest import RunManifest, read_csv, write_csv
 from ambec.wigner import CONVENTION
 
@@ -274,7 +275,34 @@ class TestBadFiles:
         _assert_one_error_line(rc, capsys.readouterr().err)
 
 
+class TestProfileOverflow:
+    """A --grid-l near the top of the float range overflows 2|beta x|."""
+
+    @pytest.mark.parametrize("command", ["profile", "wigner", "potential",
+                                         "residual", "evolve"])
+    def test_one_error_line(self, command, tmp_path, capsys):
+        rec = tmp_path / "rec.json"
+        assert main(["solve", "--family", "I", *FIG1, "--beta", "2",
+                     "--out", str(rec)]) == 0
+        capsys.readouterr()
+        rc = main([command, "--solution", str(rec), "--grid-n", "64",
+                   "--grid-l", "8e307", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert "profile overflows" in err
+
+
 class TestEvolve:
+    def test_manifest_records_kernel_backend(self, rec_path, tmp_path):
+        out = tmp_path / "ev.csv"
+        assert main(["evolve", "--solution", str(rec_path), "--t", "0.01",
+                     "--grid-n", "64", "--out", str(out)]) == 0
+        man = RunManifest.read(str(tmp_path / "ev.manifest.json"))
+        assert man.environment == {"kernel_backend": kernel_backend()}
+        solve = RunManifest.read(str(rec_path.with_suffix("")) +
+                                 ".manifest.json")
+        assert solve.environment == {}
+
     def test_short_run_table(self, rec_path, tmp_path):
         out = tmp_path / "ev.csv"
         rc = main(["evolve", "--solution", str(rec_path), "--t", "0.05",

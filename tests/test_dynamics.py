@@ -1,12 +1,18 @@
 """Split-step propagation: conservation, phase evolution, reversibility."""
+import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ambec._kernels import nonlinear_step
+from ambec import _kernels
+from ambec._kernels import nonlinear_step, numpy_step
 from ambec.ansatz import sample_fields
 from ambec.consistency import solve_family_I
 from ambec.core import CouplingParams, FieldPair, Grid
@@ -208,17 +214,23 @@ def _random_fields(seed, n=256):
     return pa, pm, tuple(rng.uniform(-3.0, 3.0, 5))
 
 
-class TestKernels:
-    def test_backend_reported(self):
-        assert kernel_backend() == "python"
+class _KernelChecks:
+    """What every nonlinear substep must do; `kernel` is the one checked."""
+
+    kernel = None
 
     def test_inputs_unmodified(self):
         pa, pm, couplings = _random_fields(7)
         psi = np.stack((pa, pm))
         psi0 = psi.copy()
-        out = nonlinear_step(psi, 1e-2, *couplings)
+        out = self.kernel(psi, 1e-2, *couplings)
         assert np.array_equal(psi, psi0)
         assert out is not psi and out.shape == psi.shape
+
+    def test_one_field_pair_required(self):
+        with pytest.raises(ValueError):
+            self.kernel(np.ones((3, 8), dtype=complex), 1e-2,
+                        1.0, 1.0, 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_local_number_drift_is_fifth_order(self, seed):
@@ -229,11 +241,144 @@ class TestKernels:
         n0 = np.abs(pa) ** 2 + 2.0 * np.abs(pm) ** 2
 
         def drift(dt):
-            a, m = nonlinear_step(psi, dt, *couplings)
+            a, m = self.kernel(psi, dt, *couplings)
             n1 = np.abs(a) ** 2 + 2.0 * np.abs(m) ** 2
             return float(np.max(np.abs(n1 - n0) / n0))
 
         assert 16.0 <= drift(2e-3) / drift(1e-3) <= 64.0
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler")
+
+
+class TestKernels(_KernelChecks):
+    """The kernel evolve runs: the C loop when it builds, else numpy."""
+
+    kernel = staticmethod(nonlinear_step)
+
+    def test_backend_reported(self):
+        loaded = _kernels._c_step() is not None
+        assert kernel_backend() == ("c" if loaded else "python")
+
+    @needs_cc
+    @pytest.mark.parametrize("dt", [1e-2, -1e-2, 5e-4, -5e-4])
+    @pytest.mark.parametrize("n", [1, 7, 2048])
+    def test_c_matches_numpy(self, n, dt):
+        assert kernel_backend() == "c"
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            psi = (rng.standard_normal((2, n))
+                   + 1j * rng.standard_normal((2, n)))
+            couplings = tuple(rng.uniform(-3.0, 3.0, 5))
+            want = numpy_step(psi, dt, *couplings)
+            got = nonlinear_step(psi, dt, *couplings)
+            assert (np.max(np.abs(got - want))
+                    <= 1e-14 * np.max(np.abs(want)))
+
+    def test_strided_and_real_input(self):
+        pa, pm, couplings = _random_fields(3)
+        psi = np.stack((pa, pm))
+        view = psi[:, ::2]
+        assert np.array_equal(nonlinear_step(view, 1e-2, *couplings),
+                              nonlinear_step(view.copy(), 1e-2, *couplings))
+        real = psi.real.copy()
+        assert np.array_equal(nonlinear_step(real, 1e-2, *couplings),
+                              nonlinear_step(real + 0j, 1e-2, *couplings))
+
+
+class TestNumpyKernel(_KernelChecks):
+    """The numpy reference, which evolve falls back to."""
+
+    kernel = staticmethod(numpy_step)
+
+
+def _run_python(code, cache, **env):
+    """Run code in a fresh interpreter whose kernel cache is `cache`."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "XDG_CACHE_HOME": str(cache), **env})
+
+
+@pytest.fixture()
+def fresh_kernel():
+    """Forget the loaded kernel before and after the test."""
+    _kernels._c_step.cache_clear()
+    yield
+    _kernels._c_step.cache_clear()
+
+
+class TestKernelBuild:
+    """Compile on first use, into the cache; fall back silently."""
+
+    def test_no_compiler_falls_back(self, monkeypatch, fresh_kernel):
+        monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
+        assert kernel_backend() == "python"
+        pa, pm, couplings = _random_fields(5)
+        psi = np.stack((pa, pm))
+        assert np.array_equal(nonlinear_step(psi, 1e-2, *couplings),
+                              numpy_step(psi, 1e-2, *couplings))
+
+    @needs_cc
+    def test_failed_build_is_silent(self, monkeypatch, fresh_kernel,
+                                    tmp_path, capfd):
+        bad = tmp_path / "bad.c"
+        bad.write_text("this is not C\n")
+        monkeypatch.setattr(_kernels, "SOURCE", bad)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        assert kernel_backend() == "python"
+        assert capfd.readouterr() == ("", "")
+        assert os.listdir(tmp_path / "cache" / "ambec") == []
+
+    @pytest.mark.parametrize("how", ["no-compiler", "cache-is-a-file"])
+    def test_cli_evolve_without_the_library(self, how, fam1_record, tmp_path):
+        rec = tmp_path / "rec.json"
+        rec.write_text(fam1_record.to_json())
+        cache, env = tmp_path / "cache", {}
+        if how == "no-compiler":
+            env["PATH"] = str(tmp_path)
+        else:
+            cache.write_text("")
+        out = tmp_path / "ev.csv"
+        proc = _run_python(
+            "import sys; from ambec.cli import main; sys.exit(main(["
+            f"'evolve', '--solution', {str(rec)!r}, '--grid-n', '64', "
+            f"'--t', '0.01', '--out', {str(out)!r}]))", cache, **env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        manifest = json.loads((tmp_path / "ev.manifest.json").read_text())
+        assert manifest["environment"] == {"kernel_backend": "python"}
+
+    def test_import_and_wigner_load_no_library(self, tmp_path):
+        cache = tmp_path / "cache"
+        out = tmp_path / "w.csv"
+        proc = _run_python(
+            "import ambec; from ambec import _kernels; from ambec.cli import "
+            f"main; rc = main(['wigner', '--beta', '1', '--delta', '3', "
+            f"'--kind', 'bright_even', '--grid-n', '64', '--out', "
+            f"{str(out)!r}]); print(rc, _kernels._c_step.cache_info()"
+            ".currsize)", cache)
+        assert proc.stdout.split()[-2:] == ["0", "0"], proc.stderr
+        assert not cache.exists()
+
+    @needs_cc
+    def test_concurrent_builds_load_one_library(self, tmp_path):
+        cache = tmp_path / "cache"
+        code = ("import hashlib, numpy as np; from ambec import _kernels; "
+                "psi = np.arange(16.0).reshape(2, 8) * (0.1 + 0.2j); "
+                "out = _kernels.nonlinear_step(psi, 1e-2, 1, 2, 3, 4, 5); "
+                "print(_kernels.kernel_backend(), "
+                "hashlib.sha256(out.tobytes()).hexdigest())")
+        env = {**os.environ, "XDG_CACHE_HOME": str(cache)}
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True)
+                 for _ in range(3)]
+        results = [p.communicate(timeout=300) for p in procs]
+        assert [r[1] for r in results] == ["", "", ""]
+        assert len({r[0] for r in results}) == 1
+        assert results[0][0].split()[0] == "c"
+        files = os.listdir(cache / "ambec")
+        assert len(files) == 1 and files[0].endswith(".so")
 
 
 def _unfused_strang(fields, params, dt, n_steps, record_every):
