@@ -1,6 +1,8 @@
-/* Nonlinear substep of the split-step propagator, one grid point at a time.
+/* The compiled kernels: the nonlinear substep of the split-step propagator
+ * and the text rendering of the Wigner lattice.
  *
- * The C form of _kernels.numpy_step: classical RK4 of the pointwise flow
+ * nonlinear_step is the C form of _kernels.numpy_step: classical RK4 of the
+ * pointwise flow, one grid point at a time,
  *   i dpsi_a/dt = (g_a|psi_a|^2 + g_am|psi_m|^2) psi_a + c1 psi_m conj(psi_a)
  *   i dpsi_m/dt = (epsilon + g_m|psi_m|^2 + g_am|psi_a|^2) psi_m + c2 psi_a^2
  * with c1 = sqrt(2) alpha and c2 = alpha / sqrt(2) passed in as numpy forms
@@ -12,6 +14,11 @@
  * psi and out hold the stacked (2, n) complex field as interleaved doubles:
  * psi_a[j] at [2j, 2j+1], psi_m[j] at [2n+2j, 2n+2j+1].
  */
+#define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
+#include <locale.h>
+#include <math.h>
+#include <stdio.h>
+#include <string.h>
 
 typedef struct {
     double g_a, g_m, g_am, c1, c2, epsilon;
@@ -72,4 +79,50 @@ void nonlinear_step(const double *psi, double *out, long n, double dt,
         om[2 * j] = y[2];
         om[2 * j + 1] = y[3];
     }
+}
+
+/* The lattice rows "<x_i><p_j piece><W_ij>\n" of a block of nx x rows,
+ * x-major, written into buf; returns the bytes written, or -1 when they do
+ * not fit in cap bytes or the C locale cannot be made.
+ *
+ * The text of x_i is xtext[xoff[i]] .. xtext[xoff[i+1] - 1], the p_j piece
+ * ",<p_j>," is ptext[poff[j]] .. ptext[poff[j+1] - 1], and W is the nx x np
+ * block, row-major.  W_ij is written by "%.15g" in the C locale, whatever
+ * LC_NUMERIC is, and any NaN as "nan" (printf writes "-nan" for a NaN with
+ * its sign bit set): the text of Python's "%.15g" % W_ij.
+ */
+long lattice_rows(const char *xtext, const long *xoff, const char *ptext,
+                  const long *poff, const double *W, long nx, long np,
+                  char *buf, long cap)
+{
+    locale_t c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (c == (locale_t)0)
+        return -1;
+    locale_t old = uselocale(c);
+    long len = 0;
+    for (long i = 0; i < nx && len >= 0; i++) {
+        const long xl = xoff[i + 1] - xoff[i];
+        for (long j = 0; j < np; j++) {
+            const long pl = poff[j + 1] - poff[j];
+            const double v = W[i * np + j];
+            if (cap - len <= xl + pl) {
+                len = -1;
+                break;
+            }
+            memcpy(buf + len, xtext + xoff[i], xl);
+            memcpy(buf + len + xl, ptext + poff[j], pl);
+            len += xl + pl;
+            const size_t room = cap - len;
+            const int k = isnan(v) ? snprintf(buf + len, room, "nan\n")
+                                   : snprintf(buf + len, room, "%.15g\n", v);
+            if (k < 0 || (size_t)k >= room) {
+                len = -1;
+                break;
+            }
+            len += k;
+        }
+    }
+    uselocale(old);
+    freelocale(c);
+    return len;
 }

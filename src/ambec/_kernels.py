@@ -1,17 +1,21 @@
-"""Nonlinear substep kernel of the split-step propagator.
+"""Nonlinear substep kernel of the split-step propagator, and the C library
+that also renders the Wigner lattice's text.
 
 The pointwise nonlinear+coupling flow used between kinetic steps, on the
 stacked field pair psi = (psi_a, psi_m) of shape (2, n).  `numpy_step` is
 the reference.  `nonlinear_step` runs the same RK4 as a C loop over grid
 points (`_kernels.c`) and falls back to `numpy_step` when that cannot be
-built or loaded.
+built or loaded.  `lattice_blocks` renders lattice rows in the same
+library, for `manifest.write_lattice_csv`, whose Python rows are the
+reference and the fallback.
 
-The C file is compiled on the first call to `nonlinear_step` or
-`kernel_backend`, never at import, with the system `cc` and CFLAGS: no
--march=native, no -ffast-math and no FMA contraction, so its output does
-not depend on the CPU.  The library goes into $XDG_CACHE_HOME/ambec (else
-~/.cache/ambec) under a name keyed by the sha256 of the source and the
-flags, so later processes only load it.
+The C file is compiled on the first call to `c_library` (through
+`nonlinear_step`, `kernel_backend` or `write_lattice_csv`), never at
+import, with the system `cc` and CFLAGS: no -march=native, no -ffast-math
+and no FMA contraction, so its output does not depend on the CPU.  The
+library goes into $XDG_CACHE_HOME/ambec (else ~/.cache/ambec) under a name
+keyed by the sha256 of the source and the flags, so later processes only
+load it.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ import os
 import pathlib
 import shutil
 import tempfile
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,6 +33,11 @@ from .core import SQRT2
 
 SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: text lattice_blocks renders per call into one buffer, in bytes
+_BLOCK_BYTES = 1 << 20
+#: the longest "%.15g" text of a double, "-1.23456789012345e-308"
+_MAX_FLOAT_TEXT = 22
 
 
 def _rhs(psi, g_a, g_m, g_am, alpha, epsilon):
@@ -75,15 +85,15 @@ def _cache_dir() -> pathlib.Path:
 
 
 @functools.cache
-def _c_step():
-    """The C kernel's entry point, built and loaded once per process, or
+def c_library():
+    """The C library (`_kernels.c`), built and loaded once per process, or
     None when there is no compiler or the build, cache write or load fails.
 
     Each build compiles into a temporary file in the cache directory and
     renames it into place, so a process never loads a half-written library.
     Compiler output is discarded: a failed build prints nothing.
     """
-    # imported here: commands that never step do not pay for them
+    # imported here: commands that never load the library do not pay for them
     import hashlib
     import subprocess
 
@@ -93,34 +103,41 @@ def _c_step():
     try:
         key = hashlib.sha256(SOURCE.read_bytes()
                              + " ".join(CFLAGS).encode()).hexdigest()
-        lib = _cache_dir() / f"kernels-{key[:16]}.so"
-        if not lib.exists():
-            lib.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=f".{lib.name}.", dir=lib.parent)
+        path = _cache_dir() / f"kernels-{key[:16]}.so"
+        if not path.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.",
+                                       dir=path.parent)
             os.close(fd)
             try:
                 subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)],
                                check=True, capture_output=True,
                                stdin=subprocess.DEVNULL, timeout=120)
-                os.replace(tmp, lib)
+                os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)
                 raise
-        step = ctypes.CDLL(str(lib)).nonlinear_step
+        lib = ctypes.CDLL(str(path))
+        step, rows = lib.nonlinear_step, lib.lattice_rows
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     step.argtypes = ([ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
                      + [ctypes.c_double] * 7)
     step.restype = None
-    return step
+    rows.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p,
+                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+                     ctypes.c_long, ctypes.c_void_p, ctypes.c_long]
+    rows.restype = ctypes.c_long
+    return lib
 
 
 def kernel_backend() -> str:
-    """Which nonlinear-step implementation runs: "c" or "python" (numpy).
+    """Which implementation runs the nonlinear step and renders the Wigner
+    lattice: "c" (the C library) or "python" (numpy and Python's "%").
 
-    Builds or loads the C kernel on first use, like nonlinear_step.
+    Builds or loads the C library on first use, like nonlinear_step.
     """
-    return "python" if _c_step() is None else "c"
+    return "python" if c_library() is None else "c"
 
 
 def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
@@ -130,14 +147,53 @@ def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     numpy's order, but numpy may fuse its complex products on CPUs with
     FMA.  Returns a new array; the input is not modified.
     """
-    step = _c_step()
-    if step is None:
+    lib = c_library()
+    if lib is None:
         return numpy_step(psi, dt, g_a, g_m, g_am, alpha, epsilon)
     psi = np.ascontiguousarray(psi, dtype=complex)
     if psi.shape[:1] != (2,):
         raise ValueError(f"psi must stack two fields along axis 0, "
                          f"got shape {psi.shape}")
     out = np.empty_like(psi)
-    step(psi.ctypes.data, out.ctypes.data, psi[0].size, dt, g_a, g_m, g_am,
-         SQRT2 * alpha, alpha / SQRT2, epsilon)
+    lib.nonlinear_step(psi.ctypes.data, out.ctypes.data, psi[0].size, dt,
+                       g_a, g_m, g_am, SQRT2 * alpha, alpha / SQRT2, epsilon)
     return out
+
+
+def _offsets(texts):
+    """texts joined as ASCII bytes, and the C long offsets of their starts
+    followed by the end."""
+    ends = (ctypes.c_long * (len(texts) + 1))(*accumulate(map(len, texts),
+                                                          initial=0))
+    return "".join(texts).encode("ascii"), ends
+
+
+def lattice_blocks(x_texts, p_pieces, W):
+    """The lines x_texts[i] + p_pieces[j] + ("%.15g" % W[i, j]), x-major,
+    rendered by the C library as str blocks of whole x rows, each at most
+    about _BLOCK_BYTES long (one x row when a row is longer).
+
+    x_texts are the x values as text and p_pieces the texts ",<p_j>,"; W is
+    a float array of shape (len(x_texts), len(p_pieces)).  Needs the
+    library: c_library() must not be None.
+    """
+    render = c_library().lattice_rows
+    n_p = len(p_pieces)
+    if np.shape(W) != (len(x_texts), n_p):
+        raise ValueError(f"W has shape {np.shape(W)}, the lattice is "
+                         f"({len(x_texts)}, {n_p})")
+    ptext, poff = _offsets(p_pieces)
+    # a row holds every p piece and, per line, an x text, a W text and a
+    # newline; one byte more for snprintf's terminating NUL
+    row_cap = len(ptext) + n_p * (2 * _MAX_FLOAT_TEXT + 1) + 1
+    per_block = max(1, _BLOCK_BYTES // row_cap)
+    cap = per_block * row_cap
+    buf = ctypes.create_string_buffer(cap)
+    for start in range(0, len(x_texts), per_block):
+        xtext, xoff = _offsets(x_texts[start:start + per_block])
+        block = np.ascontiguousarray(W[start:start + per_block], dtype=float)
+        n = render(xtext, xoff, ptext, poff, block.ctypes.data,
+                   len(xoff) - 1, n_p, buf, cap)
+        if n < 0:
+            raise RuntimeError("lattice rows do not fit their buffer")
+        yield ctypes.string_at(buf, n).decode("ascii")

@@ -210,7 +210,8 @@ def cmd_wigner(args) -> RunManifest:
           f"negative_volume={format_float(metrics.negative_volume)} "
           f"-> {args.out}, {metrics_path}")
     return RunManifest("wigner", _params_of(args), inputs=inputs,
-                       outputs=[args.out, metrics_path])
+                       outputs=[args.out, metrics_path], environment={
+                           "kernel_backend": dynamics.kernel_backend()})
 
 
 def cmd_scan(args) -> RunManifest:

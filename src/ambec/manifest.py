@@ -2,8 +2,8 @@
 
 Every data file the CLI writes is paired with a manifest JSON recording
 the command, its full parameter set, tool version, file paths, wall time
-and, for `evolve`, the kernel backend.  Data files themselves are
-byte-identical across reruns; only the manifest's duration field may
+and, for `evolve` and `wigner`, the kernel backend.  Data files themselves
+are byte-identical across reruns; only the manifest's duration field may
 differ.
 """
 from __future__ import annotations
@@ -16,6 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigurationError
 
 TOOL_VERSION = "0.1.0"
@@ -48,7 +49,8 @@ class RunManifest:
     """What produced a set of output files.
 
     environment holds what the outputs depend on beyond the parameters:
-    `evolve` records the kernel_backend that ran its nonlinear substep.
+    `evolve` and `wigner` record the kernel_backend that ran the nonlinear
+    substep or rendered the lattice.
     """
 
     command: str
@@ -135,21 +137,28 @@ def write_lattice_csv(path: str, header, x, p, W,
     """A lattice W[i, j] on x[i] x p[j] as x-major rows x[i], p[j], W[i, j].
 
     Writes the bytes write_csv writes for those rows, with every value in
-    "%.15g".  Each p is formatted once into a row template and each x once
-    per row, so only the W values are rendered cell by cell.  W must have
-    the shape (len(x), len(p)), else TypeError, raised before the file is
+    "%.15g".  Each p is formatted once and each x once per row, so only
+    the W values are rendered cell by cell: by the C library a block of
+    rows at a time when it loads (`_kernels.lattice_blocks`), else by one
+    `%` call per x row from a preformatted p template.  W must have the
+    shape (len(x), len(p)), else TypeError, raised before the file is
     opened.
     """
     W = np.asarray(W, dtype=float)
     if W.shape != (len(x), len(p)):
         raise TypeError(f"{path}: W has shape {W.shape}, the lattice is "
                         f"({len(x)}, {len(p)})")
-    # "<x>".join(pieces) is the row "<x>,<p_0>,%.15g\n<x>,<p_1>,%.15g\n..."
-    pieces = ["", *(f",{format_float(v)},%.15g\n"
-                    for v in np.asarray(p, dtype=float).tolist())]
+    x_texts = [format_float(v) for v in np.asarray(x, dtype=float).tolist()]
+    p_texts = [format_float(v) for v in np.asarray(p, dtype=float).tolist()]
     with _csv_output(path, header, manifest_path, comments) as f:
-        for xi, row in zip(np.asarray(x, dtype=float).tolist(), W):
-            f.write(format_float(xi).join(pieces) % tuple(row.tolist()))
+        if _kernels.c_library() is not None:
+            f.writelines(_kernels.lattice_blocks(
+                x_texts, [f",{t}," for t in p_texts], W))
+        else:
+            # "<x>".join(pieces) is the row "<x>,<p_0>,%.15g\n<x>,<p_1>,..."
+            pieces = ["", *(f",{t},%.15g\n" for t in p_texts)]
+            for xt, row in zip(x_texts, W):
+                f.write(xt.join(pieces) % tuple(row.tolist()))
 
 
 @dataclass

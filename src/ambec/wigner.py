@@ -64,7 +64,9 @@ def wigner_transform(profile, grid: Grid, p_count: int | None = None) -> WignerG
     profile is either an array sampled on the grid (then p_count must equal
     the grid size, so correlations land on lattice points) or a callable
     psi(x) evaluated exactly where needed.  The y window spans the full
-    grid; the p lattice is the conjugate of the y sampling.
+    grid; the p lattice is the conjugate of the y sampling.  A sum of W
+    that overflows (a grid near the top of the float range) raises
+    ConfigurationError.
     """
     n = grid.n
     m = n if p_count is None else int(p_count)
@@ -115,7 +117,11 @@ def wigner_transform(profile, grid: Grid, p_count: int | None = None) -> WignerG
 
     p = (np.arange(m) - h) * (math.pi / (m * dy))
     dp = math.pi / (m * dy)
-    norm = float(np.sum(W)) * grid.dx * dp
+    try:
+        with np.errstate(over="raise"):
+            norm = float(np.sum(W)) * grid.dx * dp
+    except FloatingPointError as e:
+        raise ConfigurationError(f"Wigner norm overflows: {e}") from e
     return WignerGrid(x=x, p=p, W=W, norm=norm)
 
 

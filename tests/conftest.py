@@ -23,9 +23,9 @@ def kernel_cache(tmp_path_factory):
     """Build the C kernel into a fresh cache directory, not the user's."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg")))
-        _kernels._c_step.cache_clear()
+        _kernels.c_library.cache_clear()
         yield
-    _kernels._c_step.cache_clear()
+    _kernels.c_library.cache_clear()
 
 
 @pytest.fixture(scope="session")

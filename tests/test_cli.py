@@ -299,6 +299,12 @@ class TestEvolve:
                      "--grid-n", "64", "--out", str(out)]) == 0
         man = RunManifest.read(str(tmp_path / "ev.manifest.json"))
         assert man.environment == {"kernel_backend": kernel_backend()}
+        # wigner renders its lattice with the same library
+        assert main(["wigner", "--beta", "1", "--delta", "3", "--kind",
+                     "bright_even", "--grid-n", "64",
+                     "--out", str(tmp_path / "w.csv")]) == 0
+        man = RunManifest.read(str(tmp_path / "w.manifest.json"))
+        assert man.environment == {"kernel_backend": kernel_backend()}
         solve = RunManifest.read(str(rec_path.with_suffix("")) +
                                  ".manifest.json")
         assert solve.environment == {}
@@ -385,6 +391,18 @@ class TestWigner:
         rc = main(["wigner", *argv, "--grid-n", "64",
                    "--out", str(tmp_path / "w.csv")])
         _assert_one_error_line(rc, capsys.readouterr().err)
+
+    def test_norm_overflow(self, tmp_path, capsys):
+        # a grid this wide keeps every W finite but overflows their sum
+        rec = tmp_path / "rec.json"
+        assert main(["solve", "--family", "I", *FIG1, "--beta", "2",
+                     "--out", str(rec)]) == 0
+        capsys.readouterr()
+        rc = main(["wigner", "--solution", str(rec), "--grid-n", "64",
+                   "--grid-l", "1e307", "--out", str(tmp_path / "w.csv")])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert err.startswith("error: Wigner norm overflows")
 
     def test_source_flags_are_exclusive(self, rec_path, tmp_path):
         rc = main(["wigner", "--solution", str(rec_path), "--beta", "1",

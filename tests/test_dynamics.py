@@ -258,7 +258,7 @@ class TestKernels(_KernelChecks):
     kernel = staticmethod(nonlinear_step)
 
     def test_backend_reported(self):
-        loaded = _kernels._c_step() is not None
+        loaded = _kernels.c_library() is not None
         assert kernel_backend() == ("c" if loaded else "python")
 
     @needs_cc
@@ -303,9 +303,9 @@ def _run_python(code, cache, **env):
 @pytest.fixture()
 def fresh_kernel():
     """Forget the loaded kernel before and after the test."""
-    _kernels._c_step.cache_clear()
+    _kernels.c_library.cache_clear()
     yield
-    _kernels._c_step.cache_clear()
+    _kernels.c_library.cache_clear()
 
 
 class TestKernelBuild:
@@ -348,14 +348,33 @@ class TestKernelBuild:
         manifest = json.loads((tmp_path / "ev.manifest.json").read_text())
         assert manifest["environment"] == {"kernel_backend": "python"}
 
-    def test_import_and_wigner_load_no_library(self, tmp_path):
+    @needs_cc
+    def test_cli_wigner_without_compiler(self, tmp_path):
+        # no compiler: the Python rows, the same bytes as the C library's
+        out = {}
+        for backend, env in (("c", {}), ("python", {"PATH": str(tmp_path)})):
+            run_dir = tmp_path / backend
+            run_dir.mkdir()
+            proc = _run_python(
+                "import os, sys; from ambec.cli import main; "
+                f"os.chdir({str(run_dir)!r}); sys.exit(main(['wigner', "
+                "'--beta', '1', '--delta', '3', '--kind', 'bright_even', "
+                "'--grid-n', '64', '--out', 'w.csv']))",
+                tmp_path / "cache", **env)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            manifest = json.loads((run_dir / "w.manifest.json").read_text())
+            assert manifest["environment"] == {"kernel_backend": backend}
+            out[backend] = (run_dir / "w.csv").read_bytes()
+        assert out["python"] == out["c"]
+
+    def test_import_and_solve_load_no_library(self, tmp_path):
         cache = tmp_path / "cache"
-        out = tmp_path / "w.csv"
+        out = tmp_path / "rec.json"
         proc = _run_python(
             "import ambec; from ambec import _kernels; from ambec.cli import "
-            f"main; rc = main(['wigner', '--beta', '1', '--delta', '3', "
-            f"'--kind', 'bright_even', '--grid-n', '64', '--out', "
-            f"{str(out)!r}]); print(rc, _kernels._c_step.cache_info()"
+            f"main; rc = main(['solve', '--family', 'I', '--g-a', '3', "
+            f"'--g-am', '-2.8', '--alpha', '2', '--beta', '1', '--out', "
+            f"{str(out)!r}]); print(rc, _kernels.c_library.cache_info()"
             ".currsize)", cache)
         assert proc.stdout.split()[-2:] == ["0", "0"], proc.stderr
         assert not cache.exists()

@@ -1,13 +1,18 @@
 """CSV writers: same bytes as the per-cell rule, kind contract, Wigner layout."""
+import ctypes
 import math
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ambec import ansatz, dynamics, wigner
+from ambec import _kernels, ansatz, dynamics, wigner
 from ambec.cli import main
 from ambec.manifest import (_BLOCK_ROWS, read_csv, write_csv,
                             write_lattice_csv)
@@ -168,8 +173,70 @@ def lattices(draw):
     return np.array(x), np.array(p), np.array(W).reshape(nx, n_p)
 
 
-class TestWriteLatticeCsv:
-    @SETTINGS
+class _CRenderer:
+    """The writer wigner runs: rows rendered by the C library, which must
+    load; skipped only without a compiler."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def renderer(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        assert _kernels.c_library() is not None
+
+
+class _PythonRenderer:
+    """The writer without the library: its Python rows, the fallback."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def renderer(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "c_library", lambda: None)
+            yield
+
+
+def _adversarial_doubles() -> np.ndarray:
+    """102,400 doubles where "%.15g" texts are easy to get wrong."""
+    rng = np.random.default_rng(2026)
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan,
+             math.copysign(math.nan, -1.0), 1000000000000005.0,
+             float(2 ** 53 - 1), float(2 ** 53), float(2 ** 53 + 1),
+             float(2 ** 53 + 2), 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.1, 0.5]
+    # the notation edges: each power of ten, the largest double that
+    # rounds below it at 15 digits, and a few neighbours of both
+    for e in range(-8, 18):
+        for v in (10.0 ** e, float(f"9.999999999999995e{e - 1}")):
+            for w in (v, -v):
+                lo = hi = w
+                for _ in range(3):
+                    lo, hi = np.nextafter(lo, -math.inf), np.nextafter(
+                        hi, math.inf)
+                    edges += [float(lo), float(hi)]
+                edges.append(w)
+    # NaNs with random payloads and either sign bit
+    nan_bits = (rng.integers(1, 1 << 51, 2000, dtype=np.uint64)
+                | np.uint64(0x7FF8000000000000)
+                | (rng.integers(0, 2, 2000, dtype=np.uint64) << np.uint64(63)))
+    # subnormals of either sign
+    sub_bits = (rng.integers(1, 1 << 52, 5000, dtype=np.uint64)
+                | (rng.integers(0, 2, 5000, dtype=np.uint64) << np.uint64(63)))
+    # 16-digit ties at 15 digits, exact below 2^53
+    ties = (rng.integers(10 ** 14, 9 * 10 ** 14, 5000) * 10 + 5).astype(float)
+    decimal = (rng.uniform(-10.0, 10.0, 25000)
+               * 10.0 ** rng.integers(-25, 25, 25000))
+    parts = [np.array(edges), nan_bits.view(float), sub_bits.view(float),
+             ties, -ties, decimal]
+    n_random = 102400 - sum(map(len, parts))
+    random_bits = np.frombuffer(rng.bytes(8 * n_random), dtype=float)
+    return np.concatenate([*parts, random_bits])
+
+
+class _LatticeChecks:
+    """What write_lattice_csv writes, whichever renderer runs."""
+
+    # run by one class per renderer; derandomize fixes the examples of both
+    @settings(SETTINGS,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(lattice=lattices(), comments=st.lists(st.sampled_from(
         ["convention: wigner-1d-hbar1-v1", ""]), max_size=2),
         manifest=st.sampled_from([None, "w.manifest.json"]))
@@ -190,8 +257,44 @@ class TestWriteLatticeCsv:
                               np.zeros(4), np.zeros(shape))
         assert not out.exists()
 
+    # rows of 512 values fill many rows per block; rows of 25,600 values
+    # are each longer than a block
+    @pytest.mark.parametrize("n_p", [512, 25600])
+    def test_adversarial_doubles(self, csv_path, n_p):
+        W = _adversarial_doubles().reshape(-1, n_p)
+        x = np.arange(len(W)) * 0.5
+        p = np.arange(n_p) * -0.25
+        write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W)
+        assert csv_path.read_bytes() == _lattice_reference(x, p, W)
 
-class TestWignerBytes:
+
+class TestWriteLatticeCsv(_CRenderer, _LatticeChecks):
+    def test_block_that_does_not_fit_is_refused(self):
+        # one x row, "-0.5", and two p pieces, ",1e+300," and ",nan,"
+        xoff = (ctypes.c_long * 2)(0, 4)
+        poff = (ctypes.c_long * 3)(0, 8, 13)
+        W = np.array([-1.23456789012345e-308, math.nan])
+        text = b"-0.5,1e+300,-1.23456789012345e-308\n-0.5,nan,nan\n"
+        buf = ctypes.create_string_buffer(b"#" * 80, 80)
+
+        def render(cap):
+            return _kernels.c_library().lattice_rows(
+                b"-0.5", xoff, b",1e+300,,nan,", poff, W.ctypes.data, 1, 2,
+                buf, cap)
+
+        # the text needs one byte more, for snprintf's terminating NUL
+        for cap in (0, 1, 4, 12, 13, len(text) - 1, len(text)):
+            assert render(cap) == -1
+            assert buf.raw[cap:] == b"#" * (80 - cap)
+        assert render(len(text) + 1) == len(text)
+        assert buf.raw[:len(text)] == text
+
+
+class TestWriteLatticeCsvFallback(_PythonRenderer, _LatticeChecks):
+    pass
+
+
+class _WignerBytesChecks:
     def test_solution_molecular(self, fam1_record, tmp_path):
         rec = tmp_path / "rec.json"
         rec.write_text(fam1_record.to_json())
@@ -215,3 +318,53 @@ class TestWignerBytes:
             lambda x: ansatz.superposed_profile("bright_even", beta, delta, x),
             grid)
         assert out.read_bytes() == _wigner_reference(w, out)
+
+
+class TestWignerBytes(_CRenderer, _WignerBytesChecks):
+    pass
+
+
+class TestWignerBytesFallback(_PythonRenderer, _WignerBytesChecks):
+    pass
+
+
+#: a wigner run in the directory argv[2] that prints the decimal point of
+#: its LC_NUMERIC locale, set from argv[1] before the command runs
+_WIGNER_IN_LOCALE = (
+    "import locale, os, sys; from ambec.cli import main; "
+    "os.chdir(sys.argv[2]); "
+    "locale.setlocale(locale.LC_NUMERIC, sys.argv[1]); "
+    "print(locale.localeconv()['decimal_point']); "
+    "sys.exit(main(['wigner', '--beta', '1', '--delta', '3', '--kind', "
+    "'bright_even', '--grid-n', '64', '--out', 'w.csv']))")
+
+
+class TestNumericLocale:
+    """printf follows LC_NUMERIC and Python's "%" does not: the bytes must
+    not depend on it."""
+
+    def test_german_decimal_comma_keeps_bytes(self, tmp_path):
+        if shutil.which("localedef") is None:
+            pytest.skip("no localedef")
+        locales = tmp_path / "locales"
+        locales.mkdir()
+        build = subprocess.run(
+            ["localedef", "-i", "de_DE", "-f", "UTF-8",
+             str(locales / "de_DE.UTF-8")],
+            capture_output=True, text=True, timeout=120)
+        if "cannot open locale definition file" in build.stderr:
+            pytest.skip("no de_DE locale source")
+        assert build.returncode == 0, build.stderr
+        out = {}
+        for name, point in (("C", "."), ("de_DE.UTF-8", ",")):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", _WIGNER_IN_LOCALE, name, run_dir],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "LOCPATH": str(locales)})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[0] == point
+            out[name] = [(run_dir / f).read_bytes()
+                         for f in ("w.csv", "w.metrics.json")]
+        assert out["de_DE.UTF-8"] == out["C"]
