@@ -81,46 +81,41 @@ void nonlinear_step(const double *psi, double *out, long n, double dt,
     }
 }
 
-/* The lattice rows "<x_i><p_j piece><W_ij>\n" of a block of nx x rows,
- * x-major, written into buf; returns the bytes written, or -1 when they do
- * not fit in cap bytes or the C locale cannot be made.
+/* One lattice row "<x><p_j piece><W_j>\n" for j < np, written into buf;
+ * returns the bytes written, or -1 when they do not fit in cap bytes or the
+ * C locale cannot be made.
  *
- * The text of x_i is xtext[xoff[i]] .. xtext[xoff[i+1] - 1], the p_j piece
- * ",<p_j>," is ptext[poff[j]] .. ptext[poff[j+1] - 1], and W is the nx x np
- * block, row-major.  W_ij is written by "%.15g" in the C locale, whatever
- * LC_NUMERIC is, and any NaN as "nan" (printf writes "-nan" for a NaN with
- * its sign bit set): the text of Python's "%.15g" % W_ij.
+ * x is the xl-byte text of the row's x value, the p_j piece ",<p_j>," is
+ * ptext[poff[j]] .. ptext[poff[j+1] - 1], and W holds the row's np values.
+ * W_j is written by "%.15g" in the C locale, whatever LC_NUMERIC is, and
+ * any NaN as "nan" (printf writes "-nan" for a NaN with its sign bit set):
+ * the text of Python's "%.15g" % W_j.
  */
-long lattice_rows(const char *xtext, const long *xoff, const char *ptext,
-                  const long *poff, const double *W, long nx, long np,
-                  char *buf, long cap)
+long lattice_row(const char *x, long xl, const char *ptext, const long *poff,
+                 const double *W, long np, char *buf, long cap)
 {
     locale_t c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
     if (c == (locale_t)0)
         return -1;
     locale_t old = uselocale(c);
     long len = 0;
-    for (long i = 0; i < nx && len >= 0; i++) {
-        const long xl = xoff[i + 1] - xoff[i];
-        for (long j = 0; j < np; j++) {
-            const long pl = poff[j + 1] - poff[j];
-            const double v = W[i * np + j];
-            if (cap - len <= xl + pl) {
-                len = -1;
-                break;
-            }
-            memcpy(buf + len, xtext + xoff[i], xl);
-            memcpy(buf + len + xl, ptext + poff[j], pl);
-            len += xl + pl;
-            const size_t room = cap - len;
-            const int k = isnan(v) ? snprintf(buf + len, room, "nan\n")
-                                   : snprintf(buf + len, room, "%.15g\n", v);
-            if (k < 0 || (size_t)k >= room) {
-                len = -1;
-                break;
-            }
-            len += k;
+    for (long j = 0; j < np; j++) {
+        const long pl = poff[j + 1] - poff[j];
+        if (cap - len <= xl + pl) {
+            len = -1;
+            break;
         }
+        memcpy(buf + len, x, xl);
+        memcpy(buf + len + xl, ptext + poff[j], pl);
+        len += xl + pl;
+        const size_t room = cap - len;
+        const int k = isnan(W[j]) ? snprintf(buf + len, room, "nan\n")
+                                  : snprintf(buf + len, room, "%.15g\n", W[j]);
+        if (k < 0 || (size_t)k >= room) {
+            len = -1;
+            break;
+        }
+        len += k;
     }
     uselocale(old);
     freelocale(c);

@@ -1,18 +1,18 @@
-"""Nonlinear substep kernel of the split-step propagator, and the C library
-that also renders the Wigner lattice's text.
+"""Nonlinear substep kernel of the split-step propagator, and the text of
+the Wigner lattice's rows; each runs in the C library when it loads.
 
 The pointwise nonlinear+coupling flow used between kinetic steps, on the
 stacked field pair psi = (psi_a, psi_m) of shape (2, n).  `numpy_step` is
 the reference.  `nonlinear_step` runs the same RK4 as a C loop over grid
 points (`_kernels.c`) and falls back to `numpy_step` when that cannot be
-built or loaded.  `lattice_blocks` renders lattice rows in the same
-library, for `manifest.write_lattice_csv`, whose Python rows are the
-reference and the fallback.
+built or loaded.  `lattice_rows` renders the lattice rows that
+`manifest.write_lattice_csv` writes: in the same library, else by Python's
+`%`, the reference.  This module alone decides which implementation runs.
 
 The C file is compiled on the first call to `c_library` (through
-`nonlinear_step`, `kernel_backend` or `write_lattice_csv`), never at
-import, with the system `cc` and CFLAGS: no -march=native, no -ffast-math
-and no FMA contraction, so its output does not depend on the CPU.  The
+`nonlinear_step`, `lattice_rows` or `kernel_backend`), never at import,
+with the system `cc` and CFLAGS: no -march=native, no -ffast-math and no
+FMA contraction, so its output does not depend on the CPU.  The
 library goes into $XDG_CACHE_HOME/ambec (else ~/.cache/ambec) under a name
 keyed by the sha256 of the source and the flags, so later processes only
 load it.
@@ -34,8 +34,6 @@ from .core import SQRT2
 SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
-#: text lattice_blocks renders per call into one buffer, in bytes
-_BLOCK_BYTES = 1 << 20
 #: the longest "%.15g" text of a double, "-1.23456789012345e-308"
 _MAX_FLOAT_TEXT = 22
 
@@ -118,16 +116,16 @@ def c_library():
                 os.unlink(tmp)
                 raise
         lib = ctypes.CDLL(str(path))
-        step, rows = lib.nonlinear_step, lib.lattice_rows
+        step, row = lib.nonlinear_step, lib.lattice_row
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     step.argtypes = ([ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
                      + [ctypes.c_double] * 7)
     step.restype = None
-    rows.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p,
-                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
-                     ctypes.c_long, ctypes.c_void_p, ctypes.c_long]
-    rows.restype = ctypes.c_long
+    row.argtypes = [ctypes.c_char_p, ctypes.c_long, ctypes.c_char_p,
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+                    ctypes.c_void_p, ctypes.c_long]
+    row.restype = ctypes.c_long
     return lib
 
 
@@ -160,40 +158,39 @@ def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     return out
 
 
-def _offsets(texts):
-    """texts joined as ASCII bytes, and the C long offsets of their starts
-    followed by the end."""
-    ends = (ctypes.c_long * (len(texts) + 1))(*accumulate(map(len, texts),
-                                                          initial=0))
-    return "".join(texts).encode("ascii"), ends
+def lattice_rows(x_texts, p_texts, W):
+    """The text of each x row of a lattice, one str per row: the lines
+    "<x_i>,<p_j>,<W_ij>\n" for every j, with W_ij as "%.15g" % W_ij.
 
-
-def lattice_blocks(x_texts, p_pieces, W):
-    """The lines x_texts[i] + p_pieces[j] + ("%.15g" % W[i, j]), x-major,
-    rendered by the C library as str blocks of whole x rows, each at most
-    about _BLOCK_BYTES long (one x row when a row is longer).
-
-    x_texts are the x values as text and p_pieces the texts ",<p_j>,"; W is
-    a float array of shape (len(x_texts), len(p_pieces)).  Needs the
-    library: c_library() must not be None.
+    x_texts and p_texts are the coordinates as text; W is a float array of
+    shape (len(x_texts), len(p_texts)), else ValueError.  The C library
+    renders the W values when it loads; otherwise one `%` call per row from
+    a preformatted p template does, the reference.  Both give the same
+    bytes.
     """
-    render = c_library().lattice_rows
-    n_p = len(p_pieces)
-    if np.shape(W) != (len(x_texts), n_p):
-        raise ValueError(f"W has shape {np.shape(W)}, the lattice is "
+    W = np.ascontiguousarray(W, dtype=float)
+    n_p = len(p_texts)
+    if W.shape != (len(x_texts), n_p):
+        raise ValueError(f"W has shape {W.shape}, the lattice is "
                          f"({len(x_texts)}, {n_p})")
-    ptext, poff = _offsets(p_pieces)
-    # a row holds every p piece and, per line, an x text, a W text and a
-    # newline; one byte more for snprintf's terminating NUL
-    row_cap = len(ptext) + n_p * (2 * _MAX_FLOAT_TEXT + 1) + 1
-    per_block = max(1, _BLOCK_BYTES // row_cap)
-    cap = per_block * row_cap
+    lib = c_library()
+    if lib is None:
+        # "<x>".join(pieces) is the row "<x>,<p_0>,%.15g\n<x>,<p_1>,..."
+        pieces = ["", *(f",{t},%.15g\n" for t in p_texts)]
+        for xt, row in zip(x_texts, W):
+            yield xt.join(pieces) % tuple(row.tolist())
+        return
+    pieces = [f",{t}," for t in p_texts]
+    ptext = "".join(pieces).encode("ascii")
+    poff = (ctypes.c_long * (n_p + 1))(*accumulate(map(len, pieces),
+                                                   initial=0))
+    # every p piece and, per line, an x text, a W text and a newline; one
+    # byte more for snprintf's terminating NUL
+    cap = len(ptext) + n_p * (2 * _MAX_FLOAT_TEXT + 1) + 1
     buf = ctypes.create_string_buffer(cap)
-    for start in range(0, len(x_texts), per_block):
-        xtext, xoff = _offsets(x_texts[start:start + per_block])
-        block = np.ascontiguousarray(W[start:start + per_block], dtype=float)
-        n = render(xtext, xoff, ptext, poff, block.ctypes.data,
-                   len(xoff) - 1, n_p, buf, cap)
+    for xt, row in zip(x_texts, W):
+        n = lib.lattice_row(xt.encode("ascii"), len(xt), ptext, poff,
+                            row.ctypes.data, n_p, buf, cap)
         if n < 0:
-            raise RuntimeError("lattice rows do not fit their buffer")
+            raise RuntimeError("a lattice row does not fit its buffer")
         yield ctypes.string_at(buf, n).decode("ascii")

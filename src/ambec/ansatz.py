@@ -34,8 +34,8 @@ def mu_critical(params: CouplingParams) -> float:
 def _stable_parts(beta: float, x):
     """Shared exponential building blocks for the rational profiles.
 
-    Returns (q, r, sign, denom) with q = exp(-2|beta x|), r = exp(-|beta x|)
-    and denom = 4*B*q + (1+q)^2 left for the caller (B enters there).
+    Returns (q, r, sign) with q = exp(-2|beta x|), r = exp(-|beta x|) and
+    sign = sign(beta x); the caller forms the denominator 4*B*q + (1+q)^2.
     """
     theta = beta * np.asarray(x, dtype=float)
     a = np.abs(theta)
@@ -186,6 +186,22 @@ def half_width_99(record: SolutionRecord) -> float:
     return math.acosh(math.sqrt(c))
 
 
+def component_profile(record: SolutionRecord, component: str, x):
+    """The real profile a record's component carries, at x.
+
+    The atomic field carries the profile of the record's family with
+    amplitude A; the molecular field always carries the family I (droplet)
+    profile with amplitude D.
+    """
+    if component == "atomic":
+        family, amp = record.family, record.A
+    elif component == "molecular":
+        family, amp = "I", record.D
+    else:
+        raise ConfigurationError(f"unknown component {component!r}")
+    return rational_profile(family, amp, record.B, record.beta, x)
+
+
 def truncation_report(record: SolutionRecord, grid: Grid,
                       phi_a, phi_m) -> list[str]:
     """One message per profile that has not decayed at the grid edges.
@@ -195,11 +211,10 @@ def truncation_report(record: SolutionRecord, grid: Grid,
     """
     edges = np.array([grid.x_min, grid.x_max])
     problems = []
-    for name, family, amp, prof in (("atomic", record.family, record.A, phi_a),
-                                    ("molecular", "I", record.D, phi_m)):
+    for name, prof in (("atomic", phi_a), ("molecular", phi_m)):
         peak = float(np.max(np.abs(prof)))
         boundary = float(np.max(np.abs(
-            rational_profile(family, amp, record.B, record.beta, edges))))
+            component_profile(record, name, edges))))
         if peak > 0 and boundary > GRID_ADEQUACY * peak:
             problems.append(
                 f"{name} profile is {boundary:.3e} at the grid edge "
@@ -216,8 +231,8 @@ def sample_fields(record: SolutionRecord, grid: Grid, t: float = 0.0) -> FieldPa
     1e-12 of its peak at the grid edges.
     """
     x = grid.x()
-    phi_a = rational_profile(record.family, record.A, record.B, record.beta, x)
-    phi_m = rational_profile("I", record.D, record.B, record.beta, x)
+    phi_a = component_profile(record, "atomic", x)
+    phi_m = component_profile(record, "molecular", x)
     for problem in truncation_report(record, grid, phi_a, phi_m):
         warnings.warn(TruncationWarning(problem))
     psi_a = phi_a * np.exp(-1j * record.mu * t)

@@ -30,7 +30,7 @@ def _load_record(path: str) -> SolutionRecord:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigurationError(f"cannot read solution file: {e}") from e
     try:
         return SolutionRecord.from_json(text)
@@ -165,16 +165,11 @@ def cmd_wigner(args) -> RunManifest:
                 "--solution and inline --beta/--delta/--kind are exclusive")
         record = _load_record(args.solution)
         inputs.append(args.solution)
-        beta, B = record.beta, record.B
-        if args.component == "atomic":
-            fam, amp = record.family, record.A
-        else:
-            fam, amp = "I", record.D
 
         def profile(x):
-            return ansatz.rational_profile(fam, amp, B, beta, x)
+            return ansatz.component_profile(record, args.component, x)
 
-        default_l = dynamics.default_half_width(beta)
+        default_l = dynamics.default_half_width(record.beta)
     else:
         if args.kind is None or args.beta is None or args.delta is None:
             raise ConfigurationError(

@@ -34,6 +34,15 @@ SCAN_BOX_III = ((-100.0, -0.01), (-200.0, 200.0))
 #: agreement required between alternative closed forms of B at a root
 B_AGREEMENT = 1e-8
 
+#: _newton2's iteration cap, convergence bound, damping halvings and leash,
+#: and _refine_seed's zoom levels and points per side of each level
+_NEWTON_MAX_ITER = 100
+_NEWTON_TOL = 1e-12
+_MAX_HALVINGS = 30
+_LEASH = 1e3
+_REFINE_LEVELS = 3
+_REFINE_POINTS = 9
+
 
 def default_tol() -> float:
     """Residual tolerance: AMBEC_TOL env var if set, else 1e-9.
@@ -159,25 +168,18 @@ def _condition_parts(family: str, params: CouplingParams, mu, epsilon):
     return f1, f2, s1, s2
 
 
-def conditions_family_II(params: CouplingParams, mu, epsilon):
-    """The two cast family II conditions over 1 + term magnitudes.
+def _conditions(family: str, params: CouplingParams, mu, eps):
+    """The two family II/III conditions over 1 + term magnitudes.
 
     Both vanish exactly at a consistent (mu, epsilon); the normalization
     keeps values O(1) so one tolerance fits every parameter scale.
     Accepts scalars or arrays.
     """
-    f1, f2, s1, s2 = _condition_parts("II", params, mu, epsilon)
+    f1, f2, s1, s2 = _condition_parts(family, params, mu, eps)
     return f1 / (1.0 + s1), f2 / (1.0 + s2)
 
 
-def conditions_family_III(params: CouplingParams, mu, epsilon):
-    """The two quadratic-in-B family III conditions, normalized as in II."""
-    f1, f2, s1, s2 = _condition_parts("III", params, mu, epsilon)
-    return f1 / (1.0 + s1), f2 / (1.0 + s2)
-
-
-def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
-             max_halvings: int = 30, leash: float = 1e3) -> np.ndarray:
+def _newton2(parts, v0) -> np.ndarray:
     """Damped 2-D Newton with a central finite-difference Jacobian.
 
     parts(v) returns (raw residual 1, raw residual 2, scale 1, scale 2).
@@ -191,10 +193,10 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
     Steps and the line search use the raw residuals under fixed row
     weights from the seed, so the merit keeps its polynomial growth away
     from roots instead of flattening out; convergence is judged on
-    |raw|/(1 + scale) < tol, which is parameter-scale-free.  The step is
-    damped by the first of 1, 1/2, 1/4, ... that stays in bounds and
-    improves the merit.  When none does, the smallest in-bounds step is
-    taken anyway, which lets the iteration creep across the narrow
+    |raw|/(1 + scale) < _NEWTON_TOL, which is parameter-scale-free.  The
+    step is damped by the first of 1, 1/2, 1/4, ... that stays in bounds
+    and improves the merit.  When none does, the smallest in-bounds step
+    is taken anyway, which lets the iteration creep across the narrow
     non-monotone ridges these systems have; a stagnation counter and a
     leash on |v| bound that behavior.  A few extra polishing steps after
     convergence push the root to machine precision.
@@ -204,11 +206,11 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
         return np.array(r[:2], dtype=float), np.array(r[2:], dtype=float)
 
     v = np.array(v0, dtype=float)
-    limit = leash * max(1.0, float(np.max(np.abs(v))))
+    limit = _LEASH * max(1.0, float(np.max(np.abs(v))))
     raw, scale = combine(v)
     weights = np.where(np.isfinite(scale), 1.0 / (1.0 + scale), 1.0)
     # lam = 1, 1/2, 1/4, ...: the damping levels of the line search
-    lams = np.ldexp(1.0, -np.arange(max_halvings))
+    lams = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))
 
     def merit(r):
         x = np.abs(weights * r)
@@ -222,12 +224,12 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
 
     def converged(r, s):
         return bool(np.all(np.isfinite(r)) and np.all(np.isfinite(s))
-                    and np.max(np.abs(r) / (1.0 + s)) < tol)
+                    and np.max(np.abs(r) / (1.0 + s)) < _NEWTON_TOL)
 
     polish_left = 3
     best = merit(raw)
     since_best = 0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         at_root = converged(raw, scale)
         if at_root:
             if polish_left == 0:
@@ -264,7 +266,7 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
         elif at_root:
             return v
         elif usable.any():
-            k = max_halvings - 1 - int(np.argmax(usable[::-1]))
+            k = _MAX_HALVINGS - 1 - int(np.argmax(usable[::-1]))
         else:
             raise ConvergenceError(
                 f"Newton left the search region at residual {base:.3e}")
@@ -278,7 +280,8 @@ def _newton2(parts, v0, max_iter: int = 100, tol: float = 1e-12,
     if converged(raw, scale):
         return v
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations; last residual {merit(raw):.3e}")
+        f"no convergence in {_NEWTON_MAX_ITER} iterations; last residual "
+        f"{merit(raw):.3e}")
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -509,30 +512,30 @@ def _nearest_real_root(coefs, target: float, label: str) -> float:
     return min(real, key=lambda r: abs(r - target))
 
 
-def _refine_seed(cond, params: CouplingParams, mu_c: float, eps_c: float,
-                 d_mu: float, d_eps: float, levels: int = 3, m: int = 9):
+def _refine_seed(family: str, params: CouplingParams, mu_c: float,
+                 eps_c: float, d_mu: float, d_eps: float):
     """Zoom toward the joint zero of both conditions inside a scan cell.
 
-    Each level re-grids an m-by-m window around the current best point and
-    shrinks the window 4x, because the Newton basins of the steepest roots
-    are narrower than a coarse scan cell.
+    Each level re-grids a square window around the current best point and
+    shrinks it 4x, because the Newton basins of the steepest roots are
+    narrower than a coarse scan cell.
     """
-    for _ in range(levels):
-        mus = np.linspace(mu_c - d_mu, mu_c + d_mu, m)
-        epss = np.linspace(eps_c - d_eps, eps_c + d_eps, m)
+    for _ in range(_REFINE_LEVELS):
+        mus = np.linspace(mu_c - d_mu, mu_c + d_mu, _REFINE_POINTS)
+        epss = np.linspace(eps_c - d_eps, eps_c + d_eps, _REFINE_POINTS)
         M, E = np.meshgrid(mus, epss, indexing="ij")
-        f1, f2 = cond(params, M, E)
+        f1, f2 = _conditions(family, params, M, E)
         score = np.abs(f1) + np.abs(f2)
         score = np.where(np.isfinite(score), score, np.inf)
         i, j = np.unravel_index(int(np.argmin(score)), score.shape)
         mu_c, eps_c = float(mus[i]), float(epss[j])
-        d_mu /= 0.5 * (m - 1)
-        d_eps /= 0.5 * (m - 1)
+        d_mu /= 0.5 * (_REFINE_POINTS - 1)
+        d_eps /= 0.5 * (_REFINE_POINTS - 1)
     return mu_c, eps_c
 
 
 def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
-                n: int, refine_levels: int):
+                n: int):
     """Lattice-scan the two conditions for sign-change cells.
 
     Checks the family and the box and scans it at once, raising
@@ -546,7 +549,6 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
     eps_lo, eps_hi = float(eps_range[0]), float(eps_range[1])
     _require_admissible(params, family, mu_lo=mu_lo, mu_hi=mu_hi,
                         eps_lo=eps_lo, eps_hi=eps_hi)
-    cond = conditions_family_II if family == "II" else conditions_family_III
     if not (mu_lo < mu_hi and eps_lo < eps_hi):
         raise ConfigurationError("scan ranges must be increasing (lo, hi) pairs")
     if not _in_sign_scope(family, mu_hi, eps_hi):
@@ -557,7 +559,7 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
     mus = np.linspace(mu_lo, mu_hi, n)
     epss = np.linspace(eps_lo, eps_hi, n)
     M, E = np.meshgrid(mus, epss, indexing="ij")
-    f1, f2 = cond(params, M, E)
+    f1, f2 = _conditions(family, params, M, E)
     finite = np.isfinite(f1) & np.isfinite(f2)
 
     def cell_corners(F):
@@ -578,15 +580,14 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
     order = np.argsort(score[ii, jj], kind="stable")
     d_mu = 0.5 * (mus[1] - mus[0])
     d_eps = 0.5 * (epss[1] - epss[0])
-    seeds = (_refine_seed(cond, params, 0.5 * (mus[i] + mus[i + 1]),
-                          0.5 * (epss[j] + epss[j + 1]), d_mu, d_eps,
-                          levels=refine_levels)
+    seeds = (_refine_seed(family, params, 0.5 * (mus[i] + mus[i + 1]),
+                          0.5 * (epss[j] + epss[j + 1]), d_mu, d_eps)
              for i, j in zip(ii[order], jj[order]))
     return ii.size, seeds
 
 
 def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
-                   n: int = 200, refine_levels: int = 3) -> list:
+                   n: int = 200) -> list:
     """Lattice-scan the two conditions for sign-change cells.
 
     Returns the (mu, epsilon) seeds of every sign-change cell, ordered by
@@ -595,8 +596,7 @@ def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
     cell, not the bare cell center.  solve_from_scan tries the same seeds
     in the same order but refines each one only when it gets to it.
     """
-    return list(_scan_seeds(params, family, mu_range, eps_range, n,
-                            refine_levels)[1])
+    return list(_scan_seeds(params, family, mu_range, eps_range, n)[1])
 
 
 def default_scan_ranges(family: str, alpha: float):
@@ -627,7 +627,7 @@ def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
     d_mu, d_eps = default_scan_ranges(family, params.alpha)
     found, seeds = _scan_seeds(
         params, family, d_mu if mu_range is None else mu_range,
-        d_eps if eps_range is None else eps_range, n, refine_levels=3)
+        d_eps if eps_range is None else eps_range, n)
     solve = solve_family_II if family == "II" else solve_family_III
     failures = Counter()
     detail = "every seed violated sign preconditions"

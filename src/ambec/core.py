@@ -161,8 +161,9 @@ class SolutionRecord:
         """Record from its JSON object; "delta" is derived, not read.
 
         Raises KeyError for a missing key and ValueError for anything that
-        is not a record object: a non-dict, an unknown family, or a number
-        field holding a bool, a non-number or a non-finite value.
+        is not a record object: a non-dict, an unknown family, a number
+        field holding a bool, a non-number or a non-finite value, or a beta
+        that is not positive.
         """
         if not isinstance(d, dict):
             raise ValueError("a solution record is a JSON object, got "
@@ -175,6 +176,8 @@ class SolutionRecord:
         for k, x in v.items():
             if not _finite_number(x):
                 raise ValueError(f"{k} must be a finite number, got {x!r}")
+        if not v["beta"] > 0:
+            raise ValueError(f"beta must be positive, got {v['beta']!r}")
         params = CouplingParams(g_a=v["g_a"], g_m=v["g_m"], g_am=v["g_am"],
                                 alpha=v["alpha"], epsilon=v["epsilon"])
         return cls(family=d["family"], params=params, A=v["A"], B=v["B"],

@@ -4,7 +4,8 @@ Every data file the CLI writes is paired with a manifest JSON recording
 the command, its full parameter set, tool version, file paths, wall time
 and, for `evolve` and `wigner`, the kernel backend.  Data files themselves
 are byte-identical across reruns; only the manifest's duration field may
-differ.
+differ.  The text of the Wigner lattice's rows comes from
+`_kernels.lattice_rows`, which picks the C or the Python renderer.
 """
 from __future__ import annotations
 
@@ -138,11 +139,9 @@ def write_lattice_csv(path: str, header, x, p, W,
 
     Writes the bytes write_csv writes for those rows, with every value in
     "%.15g".  Each p is formatted once and each x once per row, so only
-    the W values are rendered cell by cell: by the C library a block of
-    rows at a time when it loads (`_kernels.lattice_blocks`), else by one
-    `%` call per x row from a preformatted p template.  W must have the
-    shape (len(x), len(p)), else TypeError, raised before the file is
-    opened.
+    the W values are rendered cell by cell, by `_kernels.lattice_rows`.  W
+    must have the shape (len(x), len(p)), else TypeError, raised before the
+    file is opened.
     """
     W = np.asarray(W, dtype=float)
     if W.shape != (len(x), len(p)):
@@ -151,14 +150,7 @@ def write_lattice_csv(path: str, header, x, p, W,
     x_texts = [format_float(v) for v in np.asarray(x, dtype=float).tolist()]
     p_texts = [format_float(v) for v in np.asarray(p, dtype=float).tolist()]
     with _csv_output(path, header, manifest_path, comments) as f:
-        if _kernels.c_library() is not None:
-            f.writelines(_kernels.lattice_blocks(
-                x_texts, [f",{t}," for t in p_texts], W))
-        else:
-            # "<x>".join(pieces) is the row "<x>,<p_0>,%.15g\n<x>,<p_1>,..."
-            pieces = ["", *(f",{t},%.15g\n" for t in p_texts)]
-            for xt, row in zip(x_texts, W):
-                f.write(xt.join(pieces) % tuple(row.tolist()))
+        f.writelines(_kernels.lattice_rows(x_texts, p_texts, W))
 
 
 @dataclass

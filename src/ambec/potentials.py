@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import rational_profile, truncation_report
+from .ansatz import component_profile, truncation_report
 from .core import SQRT2, Grid, SolutionRecord
 from .errors import ConfigurationError, SingularParameterError, TruncationError
 
@@ -35,13 +35,6 @@ class PotentialPair:
     phi_m: np.ndarray
 
 
-def _profiles(record: SolutionRecord, grid: Grid):
-    x = grid.x()
-    phi_a = rational_profile(record.family, record.A, record.B, record.beta, x)
-    phi_m = rational_profile("I", record.D, record.B, record.beta, x)
-    return phi_a, phi_m
-
-
 def self_consistent_potentials(record: SolutionRecord, grid: Grid) -> PotentialPair:
     """Potentials that make each field an eigenstate of a linear problem.
 
@@ -49,7 +42,9 @@ def self_consistent_potentials(record: SolutionRecord, grid: Grid) -> PotentialP
     V_m = g_m phi_m^2 + g_am phi_a^2 + (alpha/sqrt(2)) phi_a^2 / phi_m
     """
     p = record.params
-    phi_a, phi_m = _profiles(record, grid)
+    x = grid.x()
+    phi_a = component_profile(record, "atomic", x)
+    phi_m = component_profile(record, "molecular", x)
     if np.min(np.abs(phi_m)) < 1e-300:
         raise SingularParameterError(
             "molecular profile vanishes on the grid; V_m is singular there")

@@ -11,13 +11,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .ansatz import GRID_ADEQUACY
 from .core import Grid
 from .errors import ConfigurationError, TruncationError
 
 CONVENTION = "wigner-1d-hbar1-v1"
-
-#: boundary amplitude above this fraction of peak clips the correlation window
-CLIP_LIMIT = 1e-12
 
 _CHUNK_VALUES = 1 << 18
 
@@ -52,7 +50,7 @@ class WignerGrid:
 def _boundary_check(values: np.ndarray, edges: np.ndarray) -> None:
     peak = float(np.max(np.abs(values)))
     edge = float(np.max(np.abs(edges)))
-    if peak > 0.0 and edge > CLIP_LIMIT * peak:
+    if peak > 0.0 and edge > GRID_ADEQUACY * peak:
         raise TruncationError(
             f"profile is {edge / peak:.3e} of its peak at the window edge; "
             "the correlation product would be clipped, widen the grid")

@@ -274,6 +274,23 @@ class TestBadFiles:
                    "--out", str(tmp_path / "x.csv")])
         _assert_one_error_line(rc, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["profile", "potential", "residual",
+                                         "evolve", "wigner"])
+    @pytest.mark.parametrize("content", [
+        lambda text: json.dumps({**json.loads(text), "beta": 0}).encode(),
+        lambda text: json.dumps({**json.loads(text), "beta": -1}).encode(),
+        lambda text: b"\xff\xfe",
+        lambda text: text[:len(text) // 2].encode(),
+    ], ids=["zero-beta", "negative-beta", "not-utf8", "truncated-json"])
+    def test_unusable_solution_file(self, command, content, rec_path,
+                                    tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content(rec_path.read_text()))
+        capsys.readouterr()
+        rc = main([command, "--solution", str(bad), "--grid-n", "64",
+                   "--out", str(tmp_path / "x.csv")])
+        _assert_one_error_line(rc, capsys.readouterr().err)
+
 
 class TestProfileOverflow:
     """A --grid-l near the top of the float range overflows 2|beta x|."""

@@ -257,8 +257,7 @@ class _LatticeChecks:
                               np.zeros(4), np.zeros(shape))
         assert not out.exists()
 
-    # rows of 512 values fill many rows per block; rows of 25,600 values
-    # are each longer than a block
+    # 200 short rows, and 4 rows of about 1 MB of text each
     @pytest.mark.parametrize("n_p", [512, 25600])
     def test_adversarial_doubles(self, csv_path, n_p):
         W = _adversarial_doubles().reshape(-1, n_p)
@@ -270,17 +269,16 @@ class _LatticeChecks:
 
 class TestWriteLatticeCsv(_CRenderer, _LatticeChecks):
     def test_block_that_does_not_fit_is_refused(self):
-        # one x row, "-0.5", and two p pieces, ",1e+300," and ",nan,"
-        xoff = (ctypes.c_long * 2)(0, 4)
+        # the x row "-0.5" and two p pieces, ",1e+300," and ",nan,"
         poff = (ctypes.c_long * 3)(0, 8, 13)
         W = np.array([-1.23456789012345e-308, math.nan])
         text = b"-0.5,1e+300,-1.23456789012345e-308\n-0.5,nan,nan\n"
         buf = ctypes.create_string_buffer(b"#" * 80, 80)
 
         def render(cap):
-            return _kernels.c_library().lattice_rows(
-                b"-0.5", xoff, b",1e+300,,nan,", poff, W.ctypes.data, 1, 2,
-                buf, cap)
+            return _kernels.c_library().lattice_row(
+                b"-0.5", 4, b",1e+300,,nan,", poff, W.ctypes.data, 2, buf,
+                cap)
 
         # the text needs one byte more, for snprintf's terminating NUL
         for cap in (0, 1, 4, 12, 13, len(text) - 1, len(text)):

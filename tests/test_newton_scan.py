@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from ambec import consistency
 from ambec.consistency import (_condition_parts, _in_sign_scope, _newton2,
-                               default_scan_ranges, grid_scan_seed,
+                               default_scan_ranges, default_tol,
+                               grid_scan_seed, normalized_residuals,
                                solve_from_scan)
 from ambec.core import CouplingParams
 from ambec.errors import AmbecError, ConvergenceError, NoRootFoundError
@@ -235,6 +236,26 @@ class TestScanFailureReport:
                 "8 ConvergenceError, 8 OutOfScopeRootError); last failure: "
                 "root (mu, epsilon) = ") in msg
         assert msg.endswith("violates mu < 0")
+
+
+class TestScanSolveProperty:
+    """Near the README couplings, solve_from_scan returns a record that
+    passes its gate or raises an AmbecError, and nothing else."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(base=st.sampled_from([("II", README_II), ("III", README_III)]),
+           jitter=st.tuples(*[st.floats(-0.02, 0.02)] * 4))
+    def test_gated_record_or_ambec_error(self, base, jitter):
+        family, params = base
+        params = CouplingParams(*(v * (1.0 + j) for v, j in zip(
+            (params.g_a, params.g_m, params.g_am, params.alpha), jitter)))
+        try:
+            record = solve_from_scan(family, params)
+        except AmbecError:
+            return
+        assert record.family == family
+        assert record.params.with_epsilon(None) == params
+        assert max(normalized_residuals(record).values()) < default_tol()
 
 
 class TestPinnedScanRecords:
