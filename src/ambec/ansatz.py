@@ -22,6 +22,11 @@ SUPERPOSED_KINDS = ("kink_pair", "bright_even", "bright_odd")
 GRID_ADEQUACY = 1e-12
 
 
+def is_truncated(edge: float, peak: float) -> bool:
+    """True when a profile's edge value is above GRID_ADEQUACY of its peak."""
+    return peak > 0 and edge > GRID_ADEQUACY * peak
+
+
 def mu_critical(params: CouplingParams) -> float:
     """Critical chemical potential below which no localized solution exists."""
     s = params.g_a + params.g_am
@@ -215,7 +220,7 @@ def truncation_report(record: SolutionRecord, grid: Grid,
         peak = float(np.max(np.abs(prof)))
         boundary = float(np.max(np.abs(
             component_profile(record, name, edges))))
-        if peak > 0 and boundary > GRID_ADEQUACY * peak:
+        if is_truncated(boundary, peak):
             problems.append(
                 f"{name} profile is {boundary:.3e} at the grid edge "
                 f"({boundary / peak:.3e} of its peak, limit {GRID_ADEQUACY:g}); "

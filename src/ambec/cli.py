@@ -1,8 +1,9 @@
 """Command-line front end: solve, sample, analyze, evolve, transform.
 
-Every command writes deterministic data files plus a manifest JSON; reruns
-with identical flags produce byte-identical data.  Exit codes: 0 success,
-2 no root found, 3 invalid configuration, 4 numerical failure.
+Every command writes deterministic data files and `main` writes the
+manifest JSON beside them; reruns with identical flags produce
+byte-identical data.  Exit codes: 0 success, 2 no root found, 3 invalid
+configuration, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -22,8 +23,9 @@ from .manifest import (RunManifest, format_float, open_output, write_csv,
                        write_lattice_csv)
 
 
-def _manifest_path(out: str) -> str:
-    return str(pathlib.Path(out).with_suffix("")) + ".manifest.json"
+def _sibling(out: str, suffix: str) -> str:
+    """The path next to --out that shares its stem: rec.json -> rec<suffix>."""
+    return str(pathlib.Path(out).with_suffix("")) + suffix
 
 
 def _load_record(path: str) -> SolutionRecord:
@@ -57,7 +59,7 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
-def cmd_solve(args) -> RunManifest:
+def cmd_solve(args) -> None:
     tol = args.tol
     if args.family == "I":
         if args.g_m is not None:
@@ -92,10 +94,9 @@ def cmd_solve(args) -> RunManifest:
     print(f"family {record.family}: mu={format_float(record.mu)} "
           f"epsilon={format_float(record.epsilon)} B={format_float(record.B)} "
           f"residual_max={record.residual_max:.3e} -> {args.out}")
-    return RunManifest("solve", _params_of(args), outputs=[args.out])
 
 
-def cmd_profile(args) -> RunManifest:
+def cmd_profile(args) -> None:
     require_finite(t=args.t)
     record = _load_record(args.solution)
     grid = _grid_for(record, args, power_of_two=False)
@@ -107,37 +108,29 @@ def cmd_profile(args) -> RunManifest:
     write_csv(args.out,
               ["x", "psi_a_re", "psi_a_im", "psi_m_re", "psi_m_im",
                "n_a", "n_m"],
-              rows, _manifest_path(args.out))
-    return RunManifest("profile", _params_of(args), inputs=[args.solution],
-                       outputs=[args.out])
+              rows, _sibling(args.out, ".manifest.json"))
 
 
-def cmd_potential(args) -> RunManifest:
+def cmd_potential(args) -> None:
     record = _load_record(args.solution)
     grid = _grid_for(record, args, power_of_two=False)
     pair = potentials.self_consistent_potentials(record, grid)
     rows = zip(grid.x(), pair.V_a, pair.V_m, pair.phi_a, pair.phi_m)
     record_line = "record: " + json.dumps(record.to_dict())
     write_csv(args.out, ["x", "V_a", "V_m", "phi_a", "phi_m"], rows,
-              _manifest_path(args.out), comments=[record_line])
-    return RunManifest("potential", _params_of(args), inputs=[args.solution],
-                       outputs=[args.out])
+              _sibling(args.out, ".manifest.json"), comments=[record_line])
 
 
-def cmd_residual(args) -> RunManifest:
+def cmd_residual(args) -> None:
     record = _load_record(args.solution)
     grid = _grid_for(record, args, power_of_two=False)
     r_a, r_m = potentials.eigen_residuals(record, grid)
-    write_csv(args.out, ["r_a", "r_m"], [(r_a, r_m)], _manifest_path(args.out))
+    write_csv(args.out, ["r_a", "r_m"], [(r_a, r_m)],
+              _sibling(args.out, ".manifest.json"))
     print(f"r_a={format_float(r_a)} r_m={format_float(r_m)} -> {args.out}")
-    params = _params_of(args)
-    params["norm"] = ("relative inf-norm; outer 2.5% of grid points per "
-                      "side excluded")
-    return RunManifest("residual", params, inputs=[args.solution],
-                       outputs=[args.out])
 
 
-def cmd_evolve(args) -> RunManifest:
+def cmd_evolve(args) -> dict:
     record = _load_record(args.solution)
     grid = _grid_for(record, args, power_of_two=True)
     fields = ansatz.sample_fields(record, grid)
@@ -148,23 +141,19 @@ def cmd_evolve(args) -> RunManifest:
     rows = ((d.t, d.N, d.N_a, d.N_m, d.E, d.drift_a, d.drift_m)
             for d in diags)
     write_csv(args.out, ["t", "N", "N_a", "N_m", "E", "drift_a", "drift_m"],
-              rows, _manifest_path(args.out))
+              rows, _sibling(args.out, ".manifest.json"))
     last = diags[-1]
     print(f"evolved to t={format_float(last.t)}: drift_a={last.drift_a:.3e} "
           f"drift_m={last.drift_m:.3e} -> {args.out}")
-    return RunManifest("evolve", _params_of(args), inputs=[args.solution],
-                       outputs=[args.out], environment={
-                           "kernel_backend": dynamics.kernel_backend()})
+    return {"environment": {"kernel_backend": dynamics.kernel_backend()}}
 
 
-def cmd_wigner(args) -> RunManifest:
-    inputs = []
+def cmd_wigner(args) -> dict:
     if args.solution is not None:
         if args.kind is not None or args.beta is not None or args.delta is not None:
             raise ConfigurationError(
                 "--solution and inline --beta/--delta/--kind are exclusive")
         record = _load_record(args.solution)
-        inputs.append(args.solution)
 
         def profile(x):
             return ansatz.component_profile(record, args.component, x)
@@ -189,7 +178,7 @@ def cmd_wigner(args) -> RunManifest:
     metrics = wigner.phase_space_metrics(w)
 
     write_lattice_csv(args.out, ["x", "p", "W"], w.x, w.p, w.W,
-                      _manifest_path(args.out),
+                      _sibling(args.out, ".manifest.json"),
                       comments=[f"convention: {w.convention}"])
 
     try:
@@ -199,17 +188,16 @@ def cmd_wigner(args) -> RunManifest:
     payload = metrics.to_dict()
     payload["fringe_spacing"] = fringe
     payload["norm"] = w.norm
-    metrics_path = str(pathlib.Path(args.out).with_suffix("")) + ".metrics.json"
+    metrics_path = _sibling(args.out, ".metrics.json")
     _write_json(metrics_path, payload)
     print(f"W(0,0)={format_float(metrics.w00)} ratio={format_float(metrics.ratio)} "
           f"negative_volume={format_float(metrics.negative_volume)} "
           f"-> {args.out}, {metrics_path}")
-    return RunManifest("wigner", _params_of(args), inputs=inputs,
-                       outputs=[args.out, metrics_path], environment={
-                           "kernel_backend": dynamics.kernel_backend()})
+    return {"outputs": [args.out, metrics_path],
+            "environment": {"kernel_backend": dynamics.kernel_backend()}}
 
 
-def cmd_scan(args) -> RunManifest:
+def cmd_scan(args) -> None:
     require_finite(g_a=args.g_a, g_am=args.g_am, alpha=args.alpha, mu=args.mu,
                    mu_min=args.mu_min, mu_max=args.mu_max, tol=args.tol)
     if args.mu is not None:
@@ -241,14 +229,9 @@ def cmd_scan(args) -> RunManifest:
     write_csv(args.out,
               ["mu", "peak_density", "half_width_99", "flatness", "B", "A",
                "status"],
-              rows, _manifest_path(args.out))
+              rows, _sibling(args.out, ".manifest.json"))
     ok = sum(1 for r in rows if r[-1] == "ok")
     print(f"scan: {ok}/{len(rows)} attainable rows -> {args.out}")
-    return RunManifest("scan", _params_of(args), outputs=[args.out])
-
-
-def _params_of(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _add_grid_flags(p, n_default=2048):
@@ -304,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True)
     _add_grid_flags(p)
     p.add_argument("--out", default="residual.csv")
-    p.set_defaults(func=cmd_residual)
+    p.set_defaults(func=cmd_residual,
+                   norm="relative inf-norm; outer 2.5% of grid points per "
+                        "side excluded")
 
     p = sub.add_parser("evolve", help="propagate and record diagnostics")
     p.add_argument("--solution", required=True)
@@ -347,15 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, then write its manifest beside --out.
+
+    A command returns the manifest fields only it knows, if any.  A numpy
+    overflow, division by zero or NaN ends the run with exit code 3; code
+    that expects non-finite values opts out with its own np.errstate.
+    """
     args = build_parser().parse_args(argv)
+    params = {k: v for k, v in vars(args).items() if k != "func"}
+    inputs = [args.solution] if params.get("solution") is not None else []
     start = time.perf_counter()
     try:
-        manifest = args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            known = args.func(args) or {}
+        manifest = RunManifest(args.command, params, **{
+            "inputs": inputs, "outputs": [args.out], **known})
         manifest.duration_s = time.perf_counter() - start
-        manifest.write(_manifest_path(args.out))
+        manifest.write(_sibling(args.out, ".manifest.json"))
     except AmbecError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except FloatingPointError as e:
+        print(f"error: floating-point {e}", file=sys.stderr)
+        return ConfigurationError.exit_code
     return 0
 
 

@@ -173,10 +173,11 @@ def _conditions(family: str, params: CouplingParams, mu, eps):
 
     Both vanish exactly at a consistent (mu, epsilon); the normalization
     keeps values O(1) so one tolerance fits every parameter scale.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  Never raises: a singular point gives nan.
     """
     f1, f2, s1, s2 = _condition_parts(family, params, mu, eps)
-    return f1 / (1.0 + s1), f2 / (1.0 + s2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return f1 / (1.0 + s1), f2 / (1.0 + s2)
 
 
 def _newton2(parts, v0) -> np.ndarray:
@@ -242,7 +243,8 @@ def _newton2(parts, v0) -> np.ndarray:
         # columns v + h_0 e_0, v - h_0 e_0, v + h_1 e_1, v - h_1 e_1
         F, _ = combine(v[:, None] + np.array([[h[0], -h[0], 0.0, 0.0],
                                               [0.0, 0.0, h[1], -h[1]]]))
-        J = weights[:, None] * (F[:, 0::2] - F[:, 1::2]) / (2.0 * h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            J = weights[:, None] * (F[:, 0::2] - F[:, 1::2]) / (2.0 * h)
         if not np.all(np.isfinite(J)):
             if at_root:
                 return v

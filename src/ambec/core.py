@@ -129,6 +129,9 @@ class SolutionRecord:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
+        if not self.beta > 0:
+            raise ConfigurationError(
+                f"beta must be positive, got {self.beta!r}")
         if not self.B > 0:
             raise OutOfScopeRegimeError(
                 f"B = {self.B} is outside the supported B > 0 regime")
@@ -161,9 +164,8 @@ class SolutionRecord:
         """Record from its JSON object; "delta" is derived, not read.
 
         Raises KeyError for a missing key and ValueError for anything that
-        is not a record object: a non-dict, an unknown family, a number
-        field holding a bool, a non-number or a non-finite value, or a beta
-        that is not positive.
+        is not a record object: a non-dict, an unknown family, or a number
+        field holding a bool, a non-number or a non-finite value.
         """
         if not isinstance(d, dict):
             raise ValueError("a solution record is a JSON object, got "
@@ -176,8 +178,6 @@ class SolutionRecord:
         for k, x in v.items():
             if not _finite_number(x):
                 raise ValueError(f"{k} must be a finite number, got {x!r}")
-        if not v["beta"] > 0:
-            raise ValueError(f"beta must be positive, got {v['beta']!r}")
         params = CouplingParams(g_a=v["g_a"], g_m=v["g_m"], g_am=v["g_am"],
                                 alpha=v["alpha"], epsilon=v["epsilon"])
         return cls(family=d["family"], params=params, A=v["A"], B=v["B"],

@@ -2,16 +2,16 @@
 
 Every data file the CLI writes is paired with a manifest JSON recording
 the command, its full parameter set, tool version, file paths, wall time
-and, for `evolve` and `wigner`, the kernel backend.  Data files themselves
-are byte-identical across reruns; only the manifest's duration field may
-differ.  The text of the Wigner lattice's rows comes from
+and, for `evolve` and `wigner`, the kernel backend; `cli.main` assembles
+the one RunManifest of each run.  Data files themselves are byte-identical
+across reruns; only the manifest's duration field may differ.  The text of the Wigner lattice's rows comes from
 `_kernels.lattice_rows`, which picks the C or the Python renderer.
 """
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, islice, repeat
 from operator import itemgetter
 
@@ -63,27 +63,14 @@ class RunManifest:
     environment: dict = field(default_factory=dict)
 
     def write(self, path: str) -> None:
-        body = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "version": self.version,
-            "duration_s": self.duration_s,
-            "environment": self.environment,
-        }
         with open_output(path) as f:
-            json.dump(body, f, indent=2, sort_keys=True)
+            json.dump(asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
 
     @classmethod
     def read(cls, path: str) -> "RunManifest":
         with open(path, encoding="utf-8") as f:
-            body = json.load(f)
-        return cls(command=body["command"], parameters=body["parameters"],
-                   inputs=body["inputs"], outputs=body["outputs"],
-                   version=body["version"], duration_s=body["duration_s"],
-                   environment=body.get("environment", {}))
+            return cls(**json.load(f))
 
 
 @contextmanager

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ansatz import GRID_ADEQUACY
+from .ansatz import is_truncated
 from .core import Grid
 from .errors import ConfigurationError, TruncationError
 
@@ -50,7 +50,7 @@ class WignerGrid:
 def _boundary_check(values: np.ndarray, edges: np.ndarray) -> None:
     peak = float(np.max(np.abs(values)))
     edge = float(np.max(np.abs(edges)))
-    if peak > 0.0 and edge > GRID_ADEQUACY * peak:
+    if is_truncated(edge, peak):
         raise TruncationError(
             f"profile is {edge / peak:.3e} of its peak at the window edge; "
             "the correlation product would be clipped, widen the grid")

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambec.ansatz import SUPERPOSED_KINDS
-from ambec.cli import main
+from ambec.cli import build_parser, main
 from ambec.core import SolutionRecord
 from ambec.dynamics import kernel_backend
-from ambec.manifest import RunManifest, read_csv, write_csv
+from ambec.manifest import TOOL_VERSION, RunManifest, read_csv, write_csv
 from ambec.wigner import CONVENTION
 
 FIG1 = ["--g-a", "3", "--g-am", "-2.8", "--alpha", "2"]
@@ -117,6 +117,20 @@ class TestSolve:
                    "--eps-range", "-0.6", "-0.3", "--scan-n", "60",
                    "--out", str(out)])
         assert rc == 0
+        rec = SolutionRecord.from_json(out.read_text())
+        assert rec.B == pytest.approx(1.3366709, rel=1e-5)
+
+    def test_scan_box_edge_on_a_singular_line(self, tmp_path):
+        # epsilon = -3/12.8 zeroes the Gamma denominator of these couplings;
+        # the scan skips those cells and still finds the root
+        out = tmp_path / "cat.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve", "--family", "II", *CAT2, "--scan",
+                       "--eps-range", "-0.46875", "-0.234375",
+                       "--scan-n", "33", "--out", str(out)])
+        assert rc == 0
+        assert [str(w.message) for w in caught] == []
         rec = SolutionRecord.from_json(out.read_text())
         assert rec.B == pytest.approx(1.3366709, rel=1e-5)
 
@@ -307,6 +321,29 @@ class TestProfileOverflow:
         err = capsys.readouterr().err
         _assert_one_error_line(rc, err)
         assert "profile overflows" in err
+
+
+class TestHugeAmplitude:
+    """A --solution record whose densities overflow the float range."""
+
+    @pytest.mark.parametrize("key", ["A", "D"])
+    @pytest.mark.parametrize("command", ["profile", "potential", "residual",
+                                         "evolve", "wigner"])
+    def test_one_error_line(self, command, key, rec_path, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({**json.loads(rec_path.read_text()),
+                                   key: 1e200}))
+        argv = [command, "--solution", str(big), "--grid-n", "64",
+                "--out", str(tmp_path / "x.csv")]
+        if command == "wigner":  # transform the field that carries it
+            argv += ["--component", {"A": "atomic", "D": "molecular"}[key]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert "Warning" not in err
+        assert [str(w.message) for w in caught] == []
 
 
 class TestEvolve:
@@ -525,6 +562,48 @@ class TestManifestPlumbing:
         man.write(str(path))
         back = RunManifest.read(str(path))
         assert back == man
+
+
+#: one small invocation per command; SOLUTION stands for a family I record
+SMALL_RUNS = {
+    "solve": ["solve", "--family", "I", *FIG1, "--beta", "1"],
+    "profile": ["profile", "--solution", "SOLUTION", "--grid-n", "64"],
+    "potential": ["potential", "--solution", "SOLUTION", "--grid-n", "64"],
+    "residual": ["residual", "--solution", "SOLUTION", "--grid-n", "64"],
+    "evolve": ["evolve", "--solution", "SOLUTION", "--grid-n", "64",
+               "--t", "0.01"],
+    "wigner": ["wigner", "--solution", "SOLUTION", "--grid-n", "64"],
+    "wigner-inline": ["wigner", "--beta", "1", "--delta", "3", "--kind",
+                      "bright_even", "--grid-n", "64"],
+    "scan": ["scan", *FIG1, "--mu-min", "-8", "--mu-max", "-1", "--count",
+             "3", "--grid-n", "256"],
+}
+
+
+class TestManifests:
+    @pytest.mark.parametrize("name", list(SMALL_RUNS))
+    def test_manifest_of_each_command(self, name, rec_path, tmp_path):
+        out = str(tmp_path / "out.dat")
+        argv = [str(rec_path) if a == "SOLUTION" else a
+                for a in SMALL_RUNS[name]] + ["--out", out]
+        assert main(argv) == 0
+        man = RunManifest.read(str(tmp_path / "out.manifest.json"))
+        command = argv[0]
+        flags = {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+                 if k not in ("func", "norm")}
+        if command == "residual":
+            flags["norm"] = ("relative inf-norm; outer 2.5% of grid points "
+                             "per side excluded")
+        assert man.command == command
+        assert man.parameters == flags
+        assert man.inputs == ([str(rec_path)] if "SOLUTION" in SMALL_RUNS[name]
+                              else [])
+        assert man.outputs == ([out, str(tmp_path / "out.metrics.json")]
+                               if command == "wigner" else [out])
+        assert man.environment == ({"kernel_backend": kernel_backend()}
+                                   if command in ("evolve", "wigner") else {})
+        assert man.version == TOOL_VERSION
+        assert man.duration_s >= 0.0
 
 
 class TestEntryPoint:

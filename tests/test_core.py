@@ -81,6 +81,11 @@ class TestSolutionRecord:
         with pytest.raises(OutOfScopeRegimeError):
             _record(B=-0.1)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_nonpositive_beta_rejected(self, beta):
+        with pytest.raises(ConfigurationError, match="beta must be positive"):
+            dataclasses.replace(_record(), beta=beta)
+
     def test_missing_epsilon_rejected(self):
         with pytest.raises(ConfigurationError):
             _record(params=CouplingParams(3.0, 2.9, -2.8, 2.0))
