@@ -8,17 +8,21 @@ configuration, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import pathlib
 import sys
 import time
+import warnings
+from functools import partial
 
 import numpy as np
 
 from . import ansatz, consistency, dynamics, potentials, wigner
-from .core import CouplingParams, Grid, SolutionRecord, require_finite
-from .errors import AmbecError, ConfigurationError
+from .core import (CouplingParams, Diagnostics, Grid, SolutionRecord,
+                   require_finite)
+from .errors import AmbecError, ConfigurationError, TruncationWarning
 from .manifest import (RunManifest, format_float, open_output, write_csv,
                        write_lattice_csv)
 
@@ -40,12 +44,14 @@ def _load_record(path: str) -> SolutionRecord:
         raise ConfigurationError(f"{path} is not a solution JSON: {e}") from e
 
 
-def _grid_for(record: SolutionRecord, args, power_of_two: bool) -> Grid:
+def _record_and_grid(args, power_of_two: bool) -> tuple[SolutionRecord, Grid]:
+    """The --solution record and the grid of --grid-l/--grid-n for it."""
+    record = _load_record(args.solution)
     L = (args.grid_l if args.grid_l is not None
          else dynamics.default_half_width(record.beta))
     if power_of_two:
-        return dynamics.make_grid(L, args.grid_n)
-    return Grid(-L, L, args.grid_n)
+        return record, dynamics.make_grid(L, args.grid_n)
+    return record, Grid(-L, L, args.grid_n)
 
 
 def _round15(v):
@@ -75,11 +81,9 @@ def cmd_solve(args) -> None:
         params = CouplingParams(g_a=args.g_a, g_m=args.g_m, g_am=args.g_am,
                                 alpha=args.alpha)
         if args.scan:
-            mu_range = tuple(args.mu_range) if args.mu_range else None
-            eps_range = tuple(args.eps_range) if args.eps_range else None
             record = consistency.solve_from_scan(
-                args.family, params, mu_range=mu_range, eps_range=eps_range,
-                n=args.scan_n, tol=tol)
+                args.family, params, mu_range=args.mu_range,
+                eps_range=args.eps_range, n=args.scan_n, tol=tol)
         else:
             if args.seed_mu is None or args.seed_epsilon is None:
                 raise ConfigurationError(
@@ -98,8 +102,7 @@ def cmd_solve(args) -> None:
 
 def cmd_profile(args) -> None:
     require_finite(t=args.t)
-    record = _load_record(args.solution)
-    grid = _grid_for(record, args, power_of_two=False)
+    record, grid = _record_and_grid(args, power_of_two=False)
     fields = ansatz.sample_fields(record, grid, t=args.t)
     na = np.abs(fields.psi_a) ** 2
     nm = np.abs(fields.psi_m) ** 2
@@ -112,8 +115,7 @@ def cmd_profile(args) -> None:
 
 
 def cmd_potential(args) -> None:
-    record = _load_record(args.solution)
-    grid = _grid_for(record, args, power_of_two=False)
+    record, grid = _record_and_grid(args, power_of_two=False)
     pair = potentials.self_consistent_potentials(record, grid)
     rows = zip(grid.x(), pair.V_a, pair.V_m, pair.phi_a, pair.phi_m)
     record_line = "record: " + json.dumps(record.to_dict())
@@ -122,8 +124,7 @@ def cmd_potential(args) -> None:
 
 
 def cmd_residual(args) -> None:
-    record = _load_record(args.solution)
-    grid = _grid_for(record, args, power_of_two=False)
+    record, grid = _record_and_grid(args, power_of_two=False)
     r_a, r_m = potentials.eigen_residuals(record, grid)
     write_csv(args.out, ["r_a", "r_m"], [(r_a, r_m)],
               _sibling(args.out, ".manifest.json"))
@@ -131,17 +132,15 @@ def cmd_residual(args) -> None:
 
 
 def cmd_evolve(args) -> dict:
-    record = _load_record(args.solution)
-    grid = _grid_for(record, args, power_of_two=True)
+    record, grid = _record_and_grid(args, power_of_two=True)
     fields = ansatz.sample_fields(record, grid)
     cfg = dynamics.PropagatorConfig(dt=args.dt, T=args.t,
                                     record_every=args.record_every,
                                     tol_drift=args.tol_drift)
     diags = dynamics.evolve(fields, record.params, cfg)
-    rows = ((d.t, d.N, d.N_a, d.N_m, d.E, d.drift_a, d.drift_m)
-            for d in diags)
-    write_csv(args.out, ["t", "N", "N_a", "N_m", "E", "drift_a", "drift_m"],
-              rows, _sibling(args.out, ".manifest.json"))
+    write_csv(args.out, [f.name for f in dataclasses.fields(Diagnostics)],
+              map(dataclasses.astuple, diags),
+              _sibling(args.out, ".manifest.json"))
     last = diags[-1]
     print(f"evolved to t={format_float(last.t)}: drift_a={last.drift_a:.3e} "
           f"drift_m={last.drift_m:.3e} -> {args.out}")
@@ -153,12 +152,10 @@ def cmd_wigner(args) -> dict:
         if args.kind is not None or args.beta is not None or args.delta is not None:
             raise ConfigurationError(
                 "--solution and inline --beta/--delta/--kind are exclusive")
-        record = _load_record(args.solution)
+        record, grid = _record_and_grid(args, power_of_two=True)
 
         def profile(x):
             return ansatz.component_profile(record, args.component, x)
-
-        default_l = dynamics.default_half_width(record.beta)
     else:
         if args.kind is None or args.beta is None or args.delta is None:
             raise ConfigurationError(
@@ -171,9 +168,9 @@ def cmd_wigner(args) -> dict:
         def profile(x):
             return ansatz.superposed_profile(kind, beta, delta, x)
 
-        default_l = delta / beta + 32.0 / beta
-    L = args.grid_l if args.grid_l is not None else default_l
-    grid = dynamics.make_grid(L, args.grid_n)
+        L = (args.grid_l if args.grid_l is not None
+             else delta / beta + 32.0 / beta)
+        grid = dynamics.make_grid(L, args.grid_n)
     w = wigner.wigner_transform(profile, grid, p_count=args.p_count)
     metrics = wigner.phase_space_metrics(w)
 
@@ -248,12 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "atomic-molecular condensate mean-field equations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="find a solution record")
+    couplings = argparse.ArgumentParser(add_help=False)
+    couplings.add_argument("--g-a", type=float, required=True)
+    couplings.add_argument("--g-am", type=float, required=True)
+    couplings.add_argument("--alpha", type=float, required=True)
+    couplings.add_argument("--tol", type=float, default=None,
+                           help="consistency tolerance (overrides AMBEC_TOL)")
+    solution = argparse.ArgumentParser(add_help=False)
+    solution.add_argument("--solution", required=True)
+    _add_grid_flags(solution)
+
+    p = sub.add_parser("solve", parents=[couplings],
+                       help="find a solution record")
     p.add_argument("--family", required=True, choices=["I", "II", "III"])
-    p.add_argument("--g-a", type=float, required=True)
     p.add_argument("--g-m", type=float, default=None)
-    p.add_argument("--g-am", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=None,
                    help="inverse width (family I only)")
     p.add_argument("--seed-mu", type=float, default=None)
@@ -265,35 +270,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-range", type=float, nargs=2, default=None,
                    metavar=("LO", "HI"))
     p.add_argument("--scan-n", type=int, default=200)
-    p.add_argument("--tol", type=float, default=None,
-                   help="consistency tolerance (overrides AMBEC_TOL)")
     p.add_argument("--out", default="solution.json")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("profile", help="sample fields to CSV")
-    p.add_argument("--solution", required=True)
-    _add_grid_flags(p)
+    p = sub.add_parser("profile", parents=[solution],
+                       help="sample fields to CSV")
     p.add_argument("--t", type=float, default=0.0, help="sample time")
     p.add_argument("--out", default="profile.csv")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("potential", help="self-consistent potentials to CSV")
-    p.add_argument("--solution", required=True)
-    _add_grid_flags(p)
+    p = sub.add_parser("potential", parents=[solution],
+                       help="self-consistent potentials to CSV")
     p.add_argument("--out", default="potential.csv")
     p.set_defaults(func=cmd_potential)
 
-    p = sub.add_parser("residual", help="eigen-equation residual norms")
-    p.add_argument("--solution", required=True)
-    _add_grid_flags(p)
+    p = sub.add_parser("residual", parents=[solution],
+                       help="eigen-equation residual norms")
     p.add_argument("--out", default="residual.csv")
     p.set_defaults(func=cmd_residual,
                    norm="relative inf-norm; outer 2.5% of grid points per "
                         "side excluded")
 
-    p = sub.add_parser("evolve", help="propagate and record diagnostics")
-    p.add_argument("--solution", required=True)
-    _add_grid_flags(p)
+    p = sub.add_parser("evolve", parents=[solution],
+                       help="propagate and record diagnostics")
     p.add_argument("--t", type=float, default=10.0, help="total time")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--record-every", type=int, default=100)
@@ -315,20 +314,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="wigner.csv")
     p.set_defaults(func=cmd_wigner)
 
-    p = sub.add_parser("scan", help="family-I sweep over mu")
-    p.add_argument("--g-a", type=float, required=True)
-    p.add_argument("--g-am", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p = sub.add_parser("scan", parents=[couplings],
+                       help="family-I sweep over mu")
     p.add_argument("--mu", type=float, default=None, help="single mu value")
     p.add_argument("--mu-min", type=float, default=None)
     p.add_argument("--mu-max", type=float, default=None)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--grid-n", type=int, default=2048)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default="scan.csv")
     p.set_defaults(func=cmd_scan)
 
     return parser
+
+
+def _show_warning(show, message, category, *rest):
+    """Print a TruncationWarning as a `warning:` line; pass others to show."""
+    if issubclass(category, TruncationWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *rest)
 
 
 def main(argv=None) -> int:
@@ -337,13 +341,16 @@ def main(argv=None) -> int:
     A command returns the manifest fields only it knows, if any.  A numpy
     overflow, division by zero or NaN ends the run with exit code 3; code
     that expects non-finite values opts out with its own np.errstate.
+    A TruncationWarning prints one `warning:` line; other warnings pass on.
     """
     args = build_parser().parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k != "func"}
     inputs = [args.solution] if params.get("solution") is not None else []
     start = time.perf_counter()
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                warnings.catch_warnings():
+            warnings.showwarning = partial(_show_warning, warnings.showwarning)
             known = args.func(args) or {}
         manifest = RunManifest(args.command, params, **{
             "inputs": inputs, "outputs": [args.out], **known})

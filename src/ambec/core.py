@@ -209,6 +209,8 @@ class Grid:
         if not self.x_max > self.x_min:
             raise ConfigurationError("grid needs x_max > x_min")
         require_finite(grid_width=self.x_max - self.x_min)
+        if not self.dx > 0.0:
+            raise ConfigurationError("grid spacing (x_max - x_min)/n is 0")
 
     @property
     def dx(self) -> float:

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambec import cli
 from ambec.ansatz import SUPERPOSED_KINDS
 from ambec.cli import build_parser, main
-from ambec.core import SolutionRecord
+from ambec.core import RECORD_KEYS, SolutionRecord
 from ambec.dynamics import kernel_backend
+from ambec.errors import TruncationWarning
 from ambec.manifest import TOOL_VERSION, RunManifest, read_csv, write_csv
 from ambec.wigner import CONVENTION
 
@@ -346,6 +348,61 @@ class TestHugeAmplitude:
         assert [str(w.message) for w in caught] == []
 
 
+class TestGridSpacing:
+    """A --grid-l so small that the spacing 2 L / n underflows to 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--solution", "{rec}"],
+        ["potential", "--solution", "{rec}"],
+        ["residual", "--solution", "{rec}"],
+        ["evolve", "--solution", "{rec}", "--t", "0.01", "--dt", "1e-3"],
+        ["wigner", "--solution", "{rec}"],
+        ["wigner", "--beta", "1", "--delta", "3", "--kind", "bright_even"],
+    ], ids=["profile", "potential", "residual", "evolve", "wigner",
+            "wigner-inline"])
+    def test_one_error_line(self, argv, rec_path, tmp_path, capsys):
+        argv = [a.format(rec=rec_path) for a in argv]
+        capsys.readouterr()
+        rc = main([*argv, "--grid-n", "64", "--grid-l", "5e-324",
+                   "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert "spacing" in err
+
+
+class TestWarningLines:
+    @pytest.mark.parametrize("command", ["profile", "evolve"])
+    def test_truncated_profile(self, command, rec_path, tmp_path, capsys):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--solution", str(rec_path), "--grid-n", "64",
+                       "--grid-l", "1.47", "--t", "0.01",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" profile ")[0] for line in lines] == [
+            "warning: atomic", "warning: molecular"]
+        assert all(line.endswith("widen the grid") for line in lines)
+        assert [str(w.message) for w in caught] == []
+
+    def test_other_warnings_pass_on(self, monkeypatch, tmp_path, capsys):
+        def cmd_noisy(args):
+            warnings.warn(TruncationWarning("field cut at the edge"))
+            warnings.warn(DeprecationWarning("old flag"))
+
+        monkeypatch.setattr(cli, "cmd_scan", cmd_noisy)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["scan", *FIG1, "--mu", "-2",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err == "warning: field cut at the edge\n"
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (DeprecationWarning, "old flag")]
+
+
 class TestEvolve:
     def test_manifest_records_kernel_backend(self, rec_path, tmp_path):
         out = tmp_path / "ev.csv"
@@ -502,6 +559,81 @@ class TestWignerInlineFuzz:
         assert "Traceback" not in err
         if rc:
             assert err.count("error:") == 1 and err.startswith("error: ")
+        assert [str(w.message) for w in caught] == []
+
+
+#: the README family I, II and III solves
+README_SOLVES = {
+    "I": ["--family", "I", *FIG1, "--beta", "1"],
+    "II": ["--family", "II", *CAT2, "--seed-mu", "-0.1",
+           "--seed-epsilon", "-0.44"],
+    "III": ["--family", "III", "--g-a", "-1.03", "--g-m", "-1.2",
+            "--g-am", "-0.8", "--alpha", "1", "--scan"],
+}
+
+#: a finite float or small int for one field of a record
+FIELD_NUMBERS = st.integers(-3, 3) | st.sampled_from(
+    [1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0, 5e-324, -5e-324,
+     2.2250738585072014e-308, -2.2250738585072014e-308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+#: any JSON value: text, lists, bools, null, nested objects, numbers
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def readme_records(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("records")
+    records = {}
+    for family, flags in README_SOLVES.items():
+        out = tmp / f"{family}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", *flags, "--out", str(out)]) == 0
+        records[family] = json.loads(out.read_text())
+    return tmp, records
+
+
+class TestSolutionFuzz:
+    """Any JSON in a --solution record's fields, for every command that
+    reads one: an exit code, at most one `error:` line, no traceback."""
+
+    # --grid-n 64 and ten evolve steps keep every draw small
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(command=st.sampled_from(["profile", "potential", "residual",
+                                    "evolve", "wigner"]),
+           family=st.sampled_from(sorted(README_SOLVES)),
+           edits=st.dictionaries(st.sampled_from(RECORD_KEYS),
+                                 FIELD_NUMBERS | JSON_VALUES,
+                                 min_size=1, max_size=3),
+           grid_l=st.none() | INLINE_FLOATS)
+    def test_exit_code_and_one_error_line(self, readme_records, command,
+                                          family, edits, grid_l):
+        tmp, records = readme_records
+        solution = tmp / "fuzz.json"
+        solution.write_text(json.dumps({**records[family], **edits}))
+        argv = [command, "--solution", str(solution), "--grid-n", "64",
+                "--out", str(tmp / "fuzz.csv")]
+        if command == "evolve":
+            argv += ["--t", "0.01", "--dt", "1e-3"]
+        if grid_l is not None:
+            argv.append(f"--grid-l={grid_l}")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3, 4)
+        if rc:
+            assert lines and lines[-1].startswith("error: ")
+            lines = lines[:-1]
+        assert all(line.startswith("warning: ") for line in lines), lines
         assert [str(w.message) for w in caught] == []
 
 

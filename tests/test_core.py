@@ -130,6 +130,16 @@ class TestGrid:
         with pytest.raises(ConfigurationError, match="grid_width"):
             Grid(-1e308, 1e308, 64)
 
+    @pytest.mark.parametrize("x_min, x_max, n", [
+        (-5e-324, 5e-324, 64),
+        (0.0, 5e-324, 8),
+        (-1e-322, 1e-322, 4096),
+    ])
+    def test_spacing_that_underflows_rejected(self, x_min, x_max, n):
+        # the width is positive and finite, but width / n rounds to 0
+        with pytest.raises(ConfigurationError, match="spacing"):
+            Grid(x_min, x_max, n)
+
     @pytest.mark.parametrize("n,ok", [(256, True), (100, False), (96, False)])
     def test_power_of_two_gate(self, n, ok):
         g = Grid(-1.0, 1.0, n)
