@@ -13,8 +13,18 @@
  *
  * psi and out hold the stacked (2, n) complex field as interleaved doubles:
  * psi_a[j] at [2j, 2j+1], psi_m[j] at [2n+2j, 2n+2j+1].
+ *
+ * lattice_row writes each W value as "%.15g" in two tiers.  g15_fast
+ * scales |W| to a 15-digit integer in long double (x87's 64-bit mantissa,
+ * at its default extended precision control) and lays out the digits
+ * itself, but only when the rounding is certain: the scaled value's error
+ * is below 8e-4, so it must lie more than 1e-2 from a tie.  The values it
+ * cannot decide (about 2% of arbitrary doubles, those in that band), and
+ * zero, inf and NaN, go to snprintf under a C locale.  Where long double
+ * has a mantissa narrower than 64 bits, every value goes to snprintf.
  */
 #define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
+#include <float.h>
 #include <locale.h>
 #include <math.h>
 #include <stdio.h>
@@ -81,23 +91,144 @@ void nonlinear_step(const double *psi, double *out, long n, double dt,
     }
 }
 
+#if LDBL_MANT_DIG >= 64
+/* 10^0 .. 10^27, each exact in a 64-bit mantissa (5^27 < 2^63) */
+static const long double POW10[28] = {
+    1e0L,  1e1L,  1e2L,  1e3L,  1e4L,  1e5L,  1e6L,  1e7L,  1e8L,  1e9L,
+    1e10L, 1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L,
+    1e20L, 1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
+
+/* "00" .. "99" */
+static const char DIGIT_PAIRS[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* a 10^k by exact powers of ten, one rounding each: at most 13 for the
+ * |k| <= 339 that a double needs */
+static long double scale10(long double a, int k)
+{
+    for (; k > 27; k -= 27)
+        a *= POW10[27];
+    for (; k < -27; k += 27)
+        a /= POW10[27];
+    return k >= 0 ? a * POW10[k] : a / POW10[-k];
+}
+
+/* The text "%.15g\n" of a finite, nonzero v, written at out without
+ * snprintf; returns its length, at most 23, or 0 when the digits are not
+ * certain.
+ *
+ * With e = floor(log10|v|), s = |v| 10^(14-e) lies in [1e14, 1e15) and
+ * the 15 digits are s rounded to an integer.  The computed s carries at
+ * most 14 roundings of 2^-64 relative each, so it is off by less than
+ * 8e-4.  When frac(s) is more than 1e-2 from 0.5 and s is more than 1 from
+ * either end of its interval, the rounded digits and e are those of the
+ * exact value.  Every other v (a tie or near-tie at the 15th digit, digits
+ * that round up to 1e15) returns 0, for snprintf to decide.
+ */
+static int g15_fast(double v, char *out)
+{
+    /* |v| = m 2^(b-1) with m in [1, 2).  (b - 1 + m - 1) log10(2) is the
+     * chord of log10 |v| over the binade: below it by less than 0.03, so e
+     * starts at floor(log10|v|) or one less. */
+    const double a = fabs(v);
+    int b;
+    const double m = 2.0 * frexp(a, &b);
+    int e = (int)floor((b - 2 + m) * 0.30102999566398120);
+    long double s = scale10(a, 14 - e);
+    if (s >= 1e15L) {
+        s /= 10;
+        e++;
+    }
+    if (!(s >= 1e14L + 1 && s < 1e15L - 1))
+        return 0;
+    unsigned long long r = (unsigned long long)s;
+    const long double f = s - (long double)r;
+    if (fabsl(f - 0.5L) <= 1e-2L)
+        return 0;
+    r += f > 0.5L;
+
+    /* the 15 digits, two at a time from each 7- and 8-digit half */
+    char d[16];
+    unsigned hi = (unsigned)(r / 100000000u), lo = (unsigned)(r % 100000000u);
+    for (int i = 13; i > 6; i -= 2, lo /= 100)
+        memcpy(d + i, DIGIT_PAIRS + 2 * (lo % 100), 2);
+    for (int i = 5; i > 0; i -= 2, hi /= 100)
+        memcpy(d + i, DIGIT_PAIRS + 2 * (hi % 100), 2);
+    d[0] = (char)('0' + hi);
+    int nd = 15;
+    while (d[nd - 1] == '0')
+        nd--;
+
+    /* %g's layout: fixed for -4 <= e < 15, else d.ddde+XX */
+    char *p = out;
+    if (v < 0)
+        *p++ = '-';
+    if (e < -4 || e >= 15) {
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, nd - 1);
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        const int x = e < 0 ? -e : e;
+        if (x >= 100)
+            *p++ = (char)('0' + x / 100);
+        *p++ = (char)('0' + x / 10 % 10);
+        *p++ = (char)('0' + x % 10);
+    } else if (e < 0) {
+        memcpy(p, "0.0000", 1 - e);
+        p += 1 - e;
+        memcpy(p, d, nd);
+        p += nd;
+    } else if (nd <= e + 1) {
+        memcpy(p, d, nd);
+        memset(p + nd, '0', e + 1 - nd);
+        p += e + 1;
+    } else {
+        memcpy(p, d, e + 1);
+        p += e + 1;
+        *p++ = '.';
+        memcpy(p, d + e + 1, nd - e - 1);
+        p += nd - e - 1;
+    }
+    *p++ = '\n';
+    return (int)(p - out);
+}
+#else
+/* without a 64-bit long double mantissa the error bound does not hold:
+ * snprintf renders every value */
+static int g15_fast(double v, char *out)
+{
+    (void)v;
+    (void)out;
+    return 0;
+}
+#endif
+
 /* One lattice row "<x><p_j piece><W_j>\n" for j < np, written into buf;
  * returns the bytes written, or -1 when they do not fit in cap bytes or the
  * C locale cannot be made.
  *
  * x is the xl-byte text of the row's x value, the p_j piece ",<p_j>," is
  * ptext[poff[j]] .. ptext[poff[j+1] - 1], and W holds the row's np values.
- * W_j is written by "%.15g" in the C locale, whatever LC_NUMERIC is, and
- * any NaN as "nan" (printf writes "-nan" for a NaN with its sign bit set):
- * the text of Python's "%.15g" % W_j.
+ * W_j is the text of Python's "%.15g" % W_j.  g15_fast writes it when it
+ * is sure of the digits; every other value (zero, inf, NaN, a near-tie)
+ * goes to snprintf("%.15g") under a C locale, made at the row's first such
+ * value, so the bytes never depend on LC_NUMERIC, and any NaN is "nan"
+ * (printf writes "-nan" for a NaN with its sign bit set).  Either way a
+ * text must leave one byte free in buf, as snprintf's terminating NUL
+ * does.
  */
 long lattice_row(const char *x, long xl, const char *ptext, const long *poff,
                  const double *W, long np, char *buf, long cap)
 {
-    locale_t c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
-    if (c == (locale_t)0)
-        return -1;
-    locale_t old = uselocale(c);
+    locale_t c = (locale_t)0, old = (locale_t)0;
     long len = 0;
     for (long j = 0; j < np; j++) {
         const long pl = poff[j + 1] - poff[j];
@@ -109,15 +240,31 @@ long lattice_row(const char *x, long xl, const char *ptext, const long *poff,
         memcpy(buf + len + xl, ptext + poff[j], pl);
         len += xl + pl;
         const size_t room = cap - len;
-        const int k = isnan(W[j]) ? snprintf(buf + len, room, "nan\n")
-                                  : snprintf(buf + len, room, "%.15g\n", W[j]);
-        if (k < 0 || (size_t)k >= room) {
-            len = -1;
-            break;
+        const double w = W[j];
+        /* the fast text is at most 23 bytes: with room > 23 it leaves one */
+        int k = room > 23 && isfinite(w) && w != 0.0 ? g15_fast(w, buf + len)
+                                                     : 0;
+        if (k == 0) {
+            if (c == (locale_t)0) {
+                c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+                if (c == (locale_t)0) {
+                    len = -1;
+                    break;
+                }
+                old = uselocale(c);
+            }
+            k = isnan(w) ? snprintf(buf + len, room, "nan\n")
+                         : snprintf(buf + len, room, "%.15g\n", w);
+            if (k < 0 || (size_t)k >= room) {
+                len = -1;
+                break;
+            }
         }
         len += k;
     }
-    uselocale(old);
-    freelocale(c);
+    if (c != (locale_t)0) {
+        uselocale(old);
+        freelocale(c);
+    }
     return len;
 }

@@ -61,6 +61,9 @@ class PropagatorConfig:
         if not 0.0 < self.T < math.inf:
             raise ConfigurationError(
                 f"T must be positive and finite, got {self.T}")
+        if not math.isfinite(self.T / abs(self.dt)):
+            raise ConfigurationError(
+                f"step count T/|dt| = {self.T}/{abs(self.dt)} is not finite")
         if self.record_every < 1:
             raise ConfigurationError(
                 f"record_every must be >= 1, got {self.record_every}")

@@ -4,8 +4,9 @@ Every data file the CLI writes is paired with a manifest JSON recording
 the command, its full parameter set, tool version, file paths, wall time
 and, for `evolve` and `wigner`, the kernel backend; `cli.main` assembles
 the one RunManifest of each run.  Data files themselves are byte-identical
-across reruns; only the manifest's duration field may differ.  The text of the Wigner lattice's rows comes from
-`_kernels.lattice_rows`, which picks the C or the Python renderer.
+across reruns; only the manifest's duration field may differ.  The text of
+the Wigner lattice's rows comes from `_kernels.lattice_rows`, which picks
+the C or the Python renderer.
 """
 from __future__ import annotations
 

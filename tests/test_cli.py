@@ -9,7 +9,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambec import cli
@@ -457,6 +457,67 @@ class TestEvolve:
                    "--dt", "0.05", "--grid-n", "4096",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+    def test_step_count_overflow(self, rec_path, monkeypatch, capsys):
+        # T/|dt| is inf: no integer step count
+        monkeypatch.chdir(rec_path.parent)
+        rc = main(["evolve", "--solution", "rec.json", "--grid-n", "64",
+                   "--t", "1e300", "--dt", "1e-300"])
+        _assert_one_error_line(rc, capsys.readouterr().err)
+
+
+#: a value for one of evolve's float flags: finite extremes, +-0,
+#: subnormals, nan and +-inf
+EVOLVE_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-3,
+     0.5, 1.0, 1e300, 1.7976931348623157e308, -1e-3, -1.0,
+     -1.7976931348623157e308, math.nan, math.inf, -math.inf])
+
+
+def _at_most_100_steps(t, dt):
+    """t, or 100 |dt| where t/|dt| is a finite step count above 100."""
+    with contextlib.suppress(ZeroDivisionError):
+        if 100.0 < t / abs(dt) < math.inf:
+            return 100.0 * abs(dt)
+    return t
+
+
+class TestEvolveFloatFuzz:
+    """Any value of evolve's float flags: an exit code, at most one
+    `error:` line, no traceback and no warning."""
+
+    # --grid-n 64 and at most 100 steps keep every draw small; a quotient
+    # t/|dt| that overflows still gets through
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(t=EVOLVE_FLOATS, dt=EVOLVE_FLOATS,
+           tol_drift=st.none() | EVOLVE_FLOATS,
+           grid_l=st.none() | EVOLVE_FLOATS)
+    @example(t=1e300, dt=1e-300, tol_drift=None, grid_l=None)
+    @example(t=1.7976931348623157e308, dt=-5e-324, tol_drift=1e-3,
+             grid_l=40.0)
+    def test_exit_code_and_one_error_line(self, readme_records, t, dt,
+                                          tol_drift, grid_l):
+        tmp, _ = readme_records
+        argv = ["evolve", "--solution", str(tmp / "I.json"),
+                "--grid-n", "64", "--out", str(tmp / "ev.csv"),
+                f"--t={_at_most_100_steps(t, dt)}", f"--dt={dt}"]
+        for flag, value in (("--tol-drift", tol_drift),
+                            ("--grid-l", grid_l)):
+            if value is not None:
+                argv.append(f"{flag}={value}")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3, 4)
+        if rc:
+            assert lines and lines[-1].startswith("error: ")
+            lines = lines[:-1]
+        assert all(line.startswith("warning: ") for line in lines), lines
+        assert [str(w.message) for w in caught] == []
 
 
 class TestWigner:

@@ -48,6 +48,7 @@ class TestSetupValidation:
         dict(dt=1e-3, T=-1.0),
         dict(dt=1e-3, T=1.0, record_every=0),
         dict(dt=1e-3, T=1.0, tol_drift=0.0),
+        dict(dt=-1e-300, T=1e300),
     ])
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -329,6 +330,15 @@ class TestKernelBuild:
         assert kernel_backend() == "python"
         assert capfd.readouterr() == ("", "")
         assert os.listdir(tmp_path / "cache" / "ambec") == []
+
+    @needs_cc
+    def test_source_compiles_without_warnings(self, tmp_path):
+        proc = subprocess.run(
+            ["cc", *_kernels.CFLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "kernels.so"), str(_kernels.SOURCE)],
+            capture_output=True, text=True, stdin=subprocess.DEVNULL,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("how", ["no-compiler", "cache-is-a-file"])
     def test_cli_evolve_without_the_library(self, how, fam1_record, tmp_path):

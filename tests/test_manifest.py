@@ -292,6 +292,77 @@ class TestWriteLatticeCsvFallback(_PythonRenderer, _LatticeChecks):
     pass
 
 
+def _around(v):
+    """v and the two doubles on either side of it."""
+    out = [v]
+    for direction in (-math.inf, math.inf):
+        w = v
+        for _ in range(2):
+            w = math.nextafter(w, direction)
+            out.append(w)
+    return out
+
+
+#: doubles at or next to the C renderer's fallback band, in one sign
+BAND_EDGES = [
+    # 16-digit ties at the 15th digit, exactly: integers below 2^53, and
+    # q 2^-j = (q 5^j) 10^-j; Python and printf both round half to even
+    1000000000000005.0, 1234567890123455.0, 8999999999999995.0,
+    999999999999999.5, 1.049041748046875e-05, 1.430511474609375e-06,
+    2.384185791015625e-07,
+    # doubles within about 1e-4 of a tie at the 15th digit, where the
+    # scaled value's rounding error can cross the tie
+    6.679656209440295e+277, 9.169724823866945e-303, 2.919079247841375e-147,
+    9.703138354330495e+84, 8.226193947297625e-106, 9.389573817126905e+89,
+    # powers of ten, and the largest doubles that round up to them
+    *(w for e in (-5, -4, 0, 14, 15, 16, 22, 23, 308)
+      for v in (10.0 ** e, float(f"9.999999999999995e{e - 1}"))
+      for w in _around(v)),
+    # e = -5, -4, 14 and 15, where %g switches notation, away from the band
+    1.23456789012346e-05, 0.000123456789012346, 123456789012345.0,
+    1234567890123456.0, 1.5e-05, 0.00015, 150000000000000.0, 1.5e15,
+    # subnormals, DBL_MIN, DBL_MAX, zero, inf and NaN
+    5e-324, 1e-323, 1.23456789012345e-310, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, 0.0, math.inf,
+    math.nan,
+]
+
+
+class TestFastPathEdges(_CRenderer):
+    """The C renderer writes "%.15g" without printf where it is sure of the
+    digits, and calls printf for the rest: both give Python's text."""
+
+    @settings(SETTINGS, max_examples=200)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
+                         max_size=64))
+    def test_random_bit_patterns(self, csv_path, bits):
+        W = np.array(bits, dtype=np.uint64).view(float).reshape(1, -1)
+        x, p = np.array([0.5]), np.arange(W.shape[1]) * -0.25
+        write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W)
+        assert csv_path.read_bytes() == _lattice_reference(x, p, W)
+
+    def test_band_edges(self, csv_path):
+        W = np.array(BAND_EDGES + [-v for v in BAND_EDGES]).reshape(2, -1)
+        x, p = np.array([1.0, -1.0]), np.arange(W.shape[1]) * 0.5
+        write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W)
+        assert csv_path.read_bytes() == _lattice_reference(x, p, W)
+
+    @pytest.mark.parametrize("v, text", [
+        (1e-05, "1e-05"), (-1.5e-05, "-1.5e-05"), (0.0001, "0.0001"),
+        (123456789012345.0, "123456789012345"),
+        (1e15, "1e+15"), (1.5e99, "1.5e+99"), (2.5e100, "2.5e+100"),
+        (-1.23456789012345e-308, "-1.23456789012345e-308"),
+        (5e-324, "4.94065645841247e-324"), (1000000000000005.0, "1e+15"),
+        (1.049041748046875e-05, "1.04904174804688e-05"),
+        (2.384185791015625e-07, "2.38418579101562e-07"),
+        (-0.0, "-0"), (-math.inf, "-inf"),
+        (math.copysign(math.nan, -1.0), "nan")])
+    def test_text(self, csv_path, v, text):
+        write_lattice_csv(str(csv_path), ["x", "p", "W"], [0.0], [0.0],
+                          np.array([[v]]))
+        assert csv_path.read_text().splitlines()[-1] == f"0,0,{text}"
+
+
 class _WignerBytesChecks:
     def test_solution_molecular(self, fam1_record, tmp_path):
         rec = tmp_path / "rec.json"
