@@ -14,14 +14,15 @@
  * psi and out hold the stacked (2, n) complex field as interleaved doubles:
  * psi_a[j] at [2j, 2j+1], psi_m[j] at [2n+2j, 2n+2j+1].
  *
- * lattice_row writes each W value as "%.15g" in two tiers.  g15_fast
- * scales |W| to a 15-digit integer in long double (x87's 64-bit mantissa,
- * at its default extended precision control) and lays out the digits
- * itself, but only when the rounding is certain: the scaled value's error
- * is below 8e-4, so it must lie more than 1e-2 from a tie.  The values it
- * cannot decide (about 2% of arbitrary doubles, those in that band), and
- * zero, inf and NaN, go to snprintf under a C locale.  Where long double
- * has a mantissa narrower than 64 bits, every value goes to snprintf.
+ * lattice_row writes each W value as "%.15g" in two tiers.  A zero is
+ * written directly as "0" or "-0".  g15_fast scales any other finite |W|
+ * to a 15-digit integer in long double (x87's 64-bit mantissa, at its
+ * default extended precision control) and lays out the digits itself, but
+ * only when the rounding is certain: the scaled value's error is below
+ * 8e-4, so it must lie more than 1e-2 from a tie.  The values it cannot
+ * decide (about 2% of arbitrary doubles, those in that band), and inf and
+ * NaN, go to snprintf under a C locale.  Where long double has a mantissa
+ * narrower than 64 bits, every nonzero value goes to snprintf.
  */
 #define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
 #include <float.h>
@@ -217,8 +218,9 @@ static int g15_fast(double v, char *out)
  *
  * x is the xl-byte text of the row's x value, the p_j piece ",<p_j>," is
  * ptext[poff[j]] .. ptext[poff[j+1] - 1], and W holds the row's np values.
- * W_j is the text of Python's "%.15g" % W_j.  g15_fast writes it when it
- * is sure of the digits; every other value (zero, inf, NaN, a near-tie)
+ * W_j is the text of Python's "%.15g" % W_j.  A zero is written directly,
+ * "0" or "-0" by its sign bit, and g15_fast writes any other finite value
+ * when it is sure of the digits; every other value (inf, NaN, a near-tie)
  * goes to snprintf("%.15g") under a C locale, made at the row's first such
  * value, so the bytes never depend on LC_NUMERIC, and any NaN is "nan"
  * (printf writes "-nan" for a NaN with its sign bit set).  Either way a
@@ -241,9 +243,14 @@ long lattice_row(const char *x, long xl, const char *ptext, const long *poff,
         len += xl + pl;
         const size_t room = cap - len;
         const double w = W[j];
-        /* the fast text is at most 23 bytes: with room > 23 it leaves one */
-        int k = room > 23 && isfinite(w) && w != 0.0 ? g15_fast(w, buf + len)
-                                                     : 0;
+        /* the texts written here are at most 23 bytes: room > 23 leaves one */
+        int k = 0;
+        if (room > 23 && w == 0.0) {
+            k = signbit(w) ? 3 : 2;
+            memcpy(buf + len, signbit(w) ? "-0\n" : "0\n", k);
+        } else if (room > 23 && isfinite(w)) {
+            k = g15_fast(w, buf + len);
+        }
         if (k == 0) {
             if (c == (locale_t)0) {
                 c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);

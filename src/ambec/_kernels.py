@@ -164,9 +164,10 @@ def lattice_rows(x_texts, p_texts, W):
 
     x_texts and p_texts are the coordinates as text; W is a float array of
     shape (len(x_texts), len(p_texts)), else ValueError.  The C library
-    renders the W values when it loads: a long double fast path writes the
-    digits it is sure of, and snprintf under the C locale writes the rest
-    (near-ties at the 15th digit, zero, inf and NaN).  Otherwise one `%`
+    renders the W values when it loads: zeros are written directly, a long
+    double fast path writes the digits it is sure of, and snprintf under the
+    C locale writes the rest (near-ties at the 15th digit, inf and NaN).
+    Otherwise one `%`
     call per row from a preformatted p template does, the reference.  Both
     give the same bytes.
     """

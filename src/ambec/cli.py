@@ -44,14 +44,12 @@ def _load_record(path: str) -> SolutionRecord:
         raise ConfigurationError(f"{path} is not a solution JSON: {e}") from e
 
 
-def _record_and_grid(args, power_of_two: bool) -> tuple[SolutionRecord, Grid]:
+def _record_and_grid(args) -> tuple[SolutionRecord, Grid]:
     """The --solution record and the grid of --grid-l/--grid-n for it."""
     record = _load_record(args.solution)
     L = (args.grid_l if args.grid_l is not None
          else dynamics.default_half_width(record.beta))
-    if power_of_two:
-        return record, dynamics.make_grid(L, args.grid_n)
-    return record, Grid(-L, L, args.grid_n)
+    return record, dynamics.make_grid(L, args.grid_n)
 
 
 def _round15(v):
@@ -102,7 +100,7 @@ def cmd_solve(args) -> None:
 
 def cmd_profile(args) -> None:
     require_finite(t=args.t)
-    record, grid = _record_and_grid(args, power_of_two=False)
+    record, grid = _record_and_grid(args)
     fields = ansatz.sample_fields(record, grid, t=args.t)
     na = np.abs(fields.psi_a) ** 2
     nm = np.abs(fields.psi_m) ** 2
@@ -115,7 +113,7 @@ def cmd_profile(args) -> None:
 
 
 def cmd_potential(args) -> None:
-    record, grid = _record_and_grid(args, power_of_two=False)
+    record, grid = _record_and_grid(args)
     pair = potentials.self_consistent_potentials(record, grid)
     rows = zip(grid.x(), pair.V_a, pair.V_m, pair.phi_a, pair.phi_m)
     record_line = "record: " + json.dumps(record.to_dict())
@@ -124,7 +122,7 @@ def cmd_potential(args) -> None:
 
 
 def cmd_residual(args) -> None:
-    record, grid = _record_and_grid(args, power_of_two=False)
+    record, grid = _record_and_grid(args)
     r_a, r_m = potentials.eigen_residuals(record, grid)
     write_csv(args.out, ["r_a", "r_m"], [(r_a, r_m)],
               _sibling(args.out, ".manifest.json"))
@@ -132,7 +130,7 @@ def cmd_residual(args) -> None:
 
 
 def cmd_evolve(args) -> dict:
-    record, grid = _record_and_grid(args, power_of_two=True)
+    record, grid = _record_and_grid(args)
     fields = ansatz.sample_fields(record, grid)
     cfg = dynamics.PropagatorConfig(dt=args.dt, T=args.t,
                                     record_every=args.record_every,
@@ -152,7 +150,7 @@ def cmd_wigner(args) -> dict:
         if args.kind is not None or args.beta is not None or args.delta is not None:
             raise ConfigurationError(
                 "--solution and inline --beta/--delta/--kind are exclusive")
-        record, grid = _record_and_grid(args, power_of_two=True)
+        record, grid = _record_and_grid(args)
 
         def profile(x):
             return ansatz.component_profile(record, args.component, x)
@@ -171,6 +169,10 @@ def cmd_wigner(args) -> dict:
         L = (args.grid_l if args.grid_l is not None
              else delta / beta + 32.0 / beta)
         grid = dynamics.make_grid(L, args.grid_n)
+    if args.p_count is None and grid.n % 2:
+        raise ConfigurationError(
+            "--p-count defaults to --grid-n, which must then be even; "
+            f"got --grid-n {grid.n}")
     w = wigner.wigner_transform(profile, grid, p_count=args.p_count)
     metrics = wigner.phase_space_metrics(w)
 

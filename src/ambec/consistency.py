@@ -292,7 +292,7 @@ def _safe_div(num: float, den: float) -> float:
     return num / den
 
 
-def _equations(record: SolutionRecord, params: CouplingParams) -> dict:
+def _equations(record: SolutionRecord) -> dict:
     """Every keyed relation of the record's family as (residual, scale).
 
     Residual is LHS - RHS of the printed relation; scale is the sum of term
@@ -300,8 +300,9 @@ def _equations(record: SolutionRecord, params: CouplingParams) -> dict:
     'b' suffix on the second part.  Total: never raises, returns inf/nan
     residuals where an expression is singular.
     """
+    params = record.params
     ga, gm, gam, al = params.g_a, params.g_m, params.g_am, params.alpha
-    eps = params.epsilon if params.epsilon is not None else record.epsilon
+    eps = record.epsilon
     mu, beta, A, B, D = record.mu, record.beta, record.A, record.B, record.D
     b2 = beta * beta
     A2, D2 = A * A, D * D
@@ -350,27 +351,22 @@ def _equations(record: SolutionRecord, params: CouplingParams) -> dict:
     return rel
 
 
-def check_consistency(record: SolutionRecord,
-                      params: CouplingParams | None = None) -> dict:
+def check_consistency(record: SolutionRecord) -> dict:
     """Signed residual (LHS - RHS) of every relation of the record's family.
 
-    params defaults to the record's own couplings; pass different ones to
-    probe a record against them.  Never raises; singular expressions show up
-    as inf/nan residuals.
+    Never raises; singular expressions show up as inf/nan residuals.
     """
-    return {k: r for k, (r, _) in _equations(record, params or record.params).items()}
+    return {k: r for k, (r, _) in _equations(record).items()}
 
 
-def normalized_residuals(record: SolutionRecord,
-                         params: CouplingParams | None = None) -> dict:
+def normalized_residuals(record: SolutionRecord) -> dict:
     """|residual| / (1 + term magnitudes) per relation: scale-free residuals."""
-    eqs = _equations(record, params or record.params)
-    return {k: abs(r) / (1.0 + s) for k, (r, s) in eqs.items()}
+    return {k: abs(r) / (1.0 + s) for k, (r, s) in _equations(record).items()}
 
 
 def _verified(record: SolutionRecord, tol: float) -> SolutionRecord:
     """Gate a candidate record on its normalized residuals; stamp the raw max."""
-    eqs = _equations(record, record.params)
+    eqs = _equations(record)
     norm = {k: abs(r) / (1.0 + s) for k, (r, s) in eqs.items()}
     worst = max(norm, key=norm.get)
     if not norm[worst] < tol:

@@ -191,11 +191,10 @@ class SolutionRecord:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [x_min, x_max).
+    """Uniform periodic grid on [x_min, x_max) with n >= 8 points.
 
-    Spectral operations additionally require n to be a power of two; that is
-    enforced where transforms happen, so finite-difference fallbacks can use
-    arbitrary n >= 8.
+    Every spectral operation (derivatives, the split-step kinetic phase,
+    the Wigner transform) takes numpy's FFT, which works for any n.
     """
 
     x_min: float
@@ -216,22 +215,12 @@ class Grid:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n
 
-    @property
-    def is_power_of_two(self) -> bool:
-        return self.n & (self.n - 1) == 0
-
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n)
 
     def k(self) -> np.ndarray:
         """Spectral wavenumbers matching numpy's FFT ordering."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-
-
-def require_power_of_two(grid: Grid, context: str) -> None:
-    if not grid.is_power_of_two:
-        raise ConfigurationError(
-            f"{context} needs a power-of-two grid, got n = {grid.n}")
 
 
 @dataclass

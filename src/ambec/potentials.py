@@ -55,13 +55,9 @@ def self_consistent_potentials(record: SolutionRecord, grid: Grid) -> PotentialP
 
 
 def second_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Periodic second derivative: spectral, or 5-point stencil as fallback."""
-    if grid.is_power_of_two:
-        k = grid.k()
-        return np.real(np.fft.ifft(-(k * k) * np.fft.fft(f)))
-    dx2 = grid.dx ** 2
-    return (-np.roll(f, 2) + 16.0 * np.roll(f, 1) - 30.0 * f
-            + 16.0 * np.roll(f, -1) - np.roll(f, -2)) / (12.0 * dx2)
+    """Periodic spectral second derivative of real samples, for any n."""
+    k = grid.k()
+    return np.real(np.fft.ifft(-(k * k) * np.fft.fft(f)))
 
 
 def eigen_residuals(record: SolutionRecord, grid: Grid):

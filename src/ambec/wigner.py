@@ -57,14 +57,14 @@ def _boundary_check(values: np.ndarray, edges: np.ndarray) -> None:
 
 
 def wigner_transform(profile, grid: Grid, p_count: int | None = None) -> WignerGrid:
-    """Wigner distribution of a 1D profile on a periodic grid.
+    """Wigner distribution of a 1D profile on a periodic grid of any n.
 
-    profile is either an array sampled on the grid (then p_count must equal
-    the grid size, so correlations land on lattice points) or a callable
-    psi(x) evaluated exactly where needed.  The y window spans the full
-    grid; the p lattice is the conjugate of the y sampling.  A sum of W
-    that overflows (a grid near the top of the float range) raises
-    ConfigurationError.
+    profile is a callable psi(x), evaluated exactly at every x +/- y the
+    transform needs, so nothing wraps around the window edge.  The y window
+    spans the full grid with p_count points (default: the grid's n), which
+    must be even and at least 8; the p lattice is the conjugate of the y
+    sampling.  A sum of W that overflows (a grid near the top of the float
+    range) raises ConfigurationError.
     """
     n = grid.n
     m = n if p_count is None else int(p_count)
@@ -77,31 +77,14 @@ def wigner_transform(profile, grid: Grid, p_count: int | None = None) -> WignerG
     y = (np.arange(m) - h) * dy
     edges = np.array([grid.x_min, grid.x_max])
 
-    if callable(profile):
-        psi = np.asarray(profile(x), dtype=complex)
-        _boundary_check(psi, np.asarray(profile(edges), dtype=complex))
+    psi = np.asarray(profile(x), dtype=complex)
+    _boundary_check(psi, np.asarray(profile(edges), dtype=complex))
 
-        def correlation(rows):
-            xp = x[rows, None] + y[None, :]
-            xm = x[rows, None] - y[None, :]
-            return np.conj(np.asarray(profile(xp), dtype=complex)) \
-                * np.asarray(profile(xm), dtype=complex)
-    else:
-        psi = np.asarray(profile, dtype=complex)
-        if psi.shape != (n,):
-            raise ConfigurationError(
-                f"profile shape {psi.shape} does not match the grid ({n},)")
-        if m != n:
-            raise ConfigurationError(
-                "array profiles need p_count == grid.n so x +/- y stays "
-                "on the lattice; pass a callable for other p counts")
-        _boundary_check(psi, psi[[0, -1]])
-        offsets = np.arange(m) - h
-
-        def correlation(rows):
-            idx_p = (rows[:, None] + offsets[None, :]) % n
-            idx_m = (rows[:, None] - offsets[None, :]) % n
-            return np.conj(psi[idx_p]) * psi[idx_m]
+    def correlation(rows):
+        xp = x[rows, None] + y[None, :]
+        xm = x[rows, None] - y[None, :]
+        return np.conj(np.asarray(profile(xp), dtype=complex)) \
+            * np.asarray(profile(xm), dtype=complex)
 
     alt = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
     sign = np.where((np.arange(m) + h) % 2 == 0, 1.0, -1.0)

@@ -236,6 +236,16 @@ class TestTableCommands:
         assert row[0] < 1e-8 and row[1] < 1e-8
         assert "r_a=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["2000", "1001"])
+    def test_residual_spectral_on_any_grid(self, n, rec_path, tmp_path):
+        # a 5-point stencil on grids that are not powers of two reported
+        # r_a = 2.84e-06 at n = 2000
+        out = tmp_path / "res.csv"
+        assert main(["residual", "--solution", str(rec_path), "--grid-n", n,
+                     "--out", str(out)]) == 0
+        (row,) = read_csv(str(out)).rows
+        assert row[0] < 1e-8 and row[1] < 1e-8
+
     def test_missing_solution_file(self, tmp_path):
         rc = main(["profile", "--solution", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "x.csv")])
@@ -459,11 +469,17 @@ class TestEvolve:
         assert rc == 3
 
     def test_step_count_overflow(self, rec_path, monkeypatch, capsys):
-        # T/|dt| is inf: no integer step count
+        # T/|dt| is inf (no integer step count), or finite but above the
+        # cap; either must stop before the first step, not run for ever
+        def never(*args):
+            raise AssertionError("evolve started")
+
         monkeypatch.chdir(rec_path.parent)
-        rc = main(["evolve", "--solution", "rec.json", "--grid-n", "64",
-                   "--t", "1e300", "--dt", "1e-300"])
-        _assert_one_error_line(rc, capsys.readouterr().err)
+        monkeypatch.setattr(cli.dynamics, "evolve", never)
+        for t, dt in (("1e300", "1e-300"), ("1e10", "1e-10")):
+            rc = main(["evolve", "--solution", "rec.json", "--grid-n", "64",
+                       "--t", t, "--dt", dt])
+            _assert_one_error_line(rc, capsys.readouterr().err)
 
 
 #: a value for one of evolve's float flags: finite extremes, +-0,
@@ -563,6 +579,16 @@ class TestWigner:
         rc = main(["wigner", *argv, "--grid-n", "64",
                    "--out", str(tmp_path / "w.csv")])
         _assert_one_error_line(rc, capsys.readouterr().err)
+
+    def test_odd_grid_needs_p_count(self, tmp_path, capsys):
+        argv = ["wigner", "--beta", "1", "--delta", "3", "--kind",
+                "bright_odd", "--grid-n", "301",
+                "--out", str(tmp_path / "w.csv")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert "defaults to --grid-n" in err
+        assert main([*argv, "--p-count", "300"]) == 0
 
     def test_norm_overflow(self, tmp_path, capsys):
         # a grid this wide keeps every W finite but overflows their sum
@@ -766,6 +792,9 @@ SMALL_RUNS = {
     "evolve": ["evolve", "--solution", "SOLUTION", "--grid-n", "64",
                "--t", "0.01"],
     "wigner": ["wigner", "--solution", "SOLUTION", "--grid-n", "64"],
+    "evolve-n101": ["evolve", "--solution", "SOLUTION", "--grid-n", "101",
+                    "--t", "0.01"],
+    "wigner-n100": ["wigner", "--solution", "SOLUTION", "--grid-n", "100"],
     "wigner-inline": ["wigner", "--beta", "1", "--delta", "3", "--kind",
                       "bright_even", "--grid-n", "64"],
     "scan": ["scan", *FIG1, "--mu-min", "-8", "--mu-max", "-1", "--count",

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from ambec.core import (CouplingParams, FieldPair, Grid, RECORD_KEYS,
-                        SolutionRecord, delta_from_B, require_power_of_two,
-                        validate_params)
+                        SolutionRecord, delta_from_B, validate_params)
 from ambec.errors import (ConfigurationError, OutOfScopeRegimeError)
 
 
@@ -139,16 +138,6 @@ class TestGrid:
         # the width is positive and finite, but width / n rounds to 0
         with pytest.raises(ConfigurationError, match="spacing"):
             Grid(x_min, x_max, n)
-
-    @pytest.mark.parametrize("n,ok", [(256, True), (100, False), (96, False)])
-    def test_power_of_two_gate(self, n, ok):
-        g = Grid(-1.0, 1.0, n)
-        assert g.is_power_of_two is ok
-        if ok:
-            require_power_of_two(g, "test")
-        else:
-            with pytest.raises(ConfigurationError):
-                require_power_of_two(g, "test")
 
 
 class TestDeltaFromB:

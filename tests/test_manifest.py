@@ -355,7 +355,7 @@ class TestFastPathEdges(_CRenderer):
         (5e-324, "4.94065645841247e-324"), (1000000000000005.0, "1e+15"),
         (1.049041748046875e-05, "1.04904174804688e-05"),
         (2.384185791015625e-07, "2.38418579101562e-07"),
-        (-0.0, "-0"), (-math.inf, "-inf"),
+        (0.0, "0"), (-0.0, "-0"), (-math.inf, "-inf"),
         (math.copysign(math.nan, -1.0), "nan")])
     def test_text(self, csv_path, v, text):
         write_lattice_csv(str(csv_path), ["x", "p", "W"], [0.0], [0.0],
