@@ -6,10 +6,10 @@
  *   i dpsi_a/dt = (g_a|psi_a|^2 + g_am|psi_m|^2) psi_a + c1 psi_m conj(psi_a)
  *   i dpsi_m/dt = (epsilon + g_m|psi_m|^2 + g_am|psi_a|^2) psi_m + c2 psi_a^2
  * with c1 = sqrt(2) alpha and c2 = alpha / sqrt(2) passed in as numpy forms
- * them.  Every sum and product is taken in numpy's order, and the step
- * h = -i dt is folded the same way: (h c) z = c dt (Im z, -Re z).  Compiled
- * with -ffp-contract=off, so only numpy's own fused complex products (on
- * CPUs with FMA) make the two differ, at the rounding level.
+ * them.  The step h = -i dt is folded into each shift:
+ * (h c) z = c dt (Im z, -Re z).  numpy_step takes every product and sum of
+ * rhs and shift in the same order on real planes, and this file is compiled
+ * with -ffp-contract=off, so the two give the same bits.
  *
  * psi and out hold the stacked (2, n) complex field as interleaved doubles:
  * psi_a[j] at [2j, 2j+1], psi_m[j] at [2n+2j, 2n+2j+1].

@@ -4,10 +4,11 @@ the Wigner lattice's rows; each runs in the C library when it loads.
 The pointwise nonlinear+coupling flow used between kinetic steps, on the
 stacked field pair psi = (psi_a, psi_m) of shape (2, n).  `numpy_step` is
 the reference.  `nonlinear_step` runs the same RK4 as a C loop over grid
-points (`_kernels.c`) and falls back to `numpy_step` when that cannot be
-built or loaded.  `lattice_rows` renders the lattice rows that
-`manifest.write_lattice_csv` writes: in the same library, else by Python's
-`%`, the reference.  This module alone decides which implementation runs.
+points (`_kernels.c`), with the same bits, and falls back to `numpy_step`
+when that cannot be built or loaded.  `lattice_rows` renders the lattice
+rows that `manifest.write_lattice_csv` writes: in the same library, else by
+Python's `%`, the reference.  This module alone decides which
+implementation runs.
 
 The C file is compiled on the first call to `c_library` (through
 `nonlinear_step`, `lattice_rows` or `kernel_backend`), never at import,
@@ -38,15 +39,37 @@ CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _MAX_FLOAT_TEXT = 22
 
 
-def _rhs(psi, g_a, g_m, g_am, alpha, epsilon):
-    """H(psi) of the local flow i dpsi/dt = H(psi), stacked like psi."""
-    pa, pm = psi
-    na = pa.real ** 2 + pa.imag ** 2
-    nm = pm.real ** 2 + pm.imag ** 2
-    out = np.empty(psi.shape, dtype=complex)
-    out[0] = (g_a * na + g_am * nm) * pa + SQRT2 * alpha * pm * np.conj(pa)
-    out[1] = (epsilon + g_m * nm + g_am * na) * pm + (alpha / SQRT2) * pa * pa
-    return out
+def _rhs(p, k, f):
+    """f = H(p) of the local flow i dpsi/dt = H(psi) on the four real planes
+    p = (p0, p1, p2, p3) = (Re psi_a, Im psi_a, Re psi_m, Im psi_m), of
+    shape (4, n).
+
+    Each product and sum is one of `rhs` in `_kernels.c`, taken in its
+    order.  k = (g, g_am, epsilon, c) with g the column (g_a, g_m) and c the
+    column (sqrt(2) alpha, alpha/sqrt(2)).
+    """
+    g, g_am, epsilon, c = k
+    pairs = p.reshape(2, 2, -1)                  # ((p0, p1), (p2, p3))
+    sq = p * p
+    dens = sq[0::2] + sq[1::2]                   # (n_a, n_m)
+    s = g * dens
+    s[1] += epsilon
+    s += g_am * dens[::-1]                       # (s_a, s_m)
+    np.multiply(s[:, None], pairs, out=f.reshape(2, 2, -1))
+    u = c * pairs[::-1]                          # ur, ui, vr, vi
+    a = (u * p[0]).reshape(4, -1)                # (ur, ui, vr, vi) p0
+    b = (u[:, ::-1] * p[1]).reshape(4, -1)       # (ui, ur, vi, vr) p1
+    np.add(a[0::3], b[0::3], out=a[0::3])
+    np.subtract(a[1:3], b[1:3], out=a[1:3])
+    f += a
+
+
+def _shift(p, c, f, y, cf):
+    """y = p + (-i c) f per complex component: p + c (Im f, -Re f), as
+    `shift` in `_kernels.c`; cf is scratch."""
+    np.multiply(c, f, out=cf)
+    np.add(p[0::2], cf[1::2], out=y[0::2])
+    np.subtract(p[1::2], cf[0::2], out=y[1::2])
 
 
 def numpy_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
@@ -57,20 +80,37 @@ def numpy_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     and i dpsi_m/dt = (epsilon + g_m|psi_m|^2 + g_am|psi_a|^2) psi_m
     + (alpha/sqrt(2)) psi_a^2 pointwise.  The conjugate coupling makes the
     flow non-diagonal, so a real integrator is used instead of an exact
-    phase rotation.  The -i of the flow is folded into the step h = -i dt,
-    and the weighted stages are summed into one buffer.
+    phase rotation.
 
-    Returns a new array; the input is not modified.
+    The arithmetic is real, on the planes Re psi_a, Im psi_a, Re psi_m and
+    Im psi_m, with every product and sum of the C loop in `_kernels.c` in
+    its order.  numpy's real `*` and `+` round each result once, so the two
+    give the same bits.  Returns a new array; the input is not modified.
     """
-    args = (g_a, g_m, g_am, alpha, epsilon)
-    h = -1j * dt
-    acc = _rhs(psi, *args)
-    k = _rhs(psi + (0.5 * h) * acc, *args)
-    acc += 2.0 * k
-    k = _rhs(psi + (0.5 * h) * k, *args)
-    acc += 2.0 * k
-    acc += _rhs(psi + h * k, *args)
-    return psi + (h / 6.0) * acc
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 2 or len(psi) != 2:
+        raise ValueError(f"psi must stack two fields along axis 0, "
+                         f"got shape {psi.shape}")
+    p = np.empty((4, psi.shape[1]))
+    p[0::2], p[1::2] = psi.real, psi.imag
+    k = (np.array([[g_a], [g_m]]), g_am, epsilon,
+         np.array([SQRT2 * alpha, alpha / SQRT2]).reshape(2, 1, 1))
+    acc, f, y, cf = (np.empty_like(p) for _ in range(4))
+    half = 0.5 * dt
+    _rhs(p, k, acc)
+    _shift(p, half, acc, y, cf)
+    _rhs(y, k, f)
+    acc += np.multiply(2.0, f, out=cf)
+    _shift(p, half, f, y, cf)
+    _rhs(y, k, f)
+    acc += np.multiply(2.0, f, out=cf)
+    _shift(p, dt, f, y, cf)
+    _rhs(y, k, f)
+    acc += f
+    _shift(p, dt / 6.0, acc, y, cf)
+    out = np.empty(psi.shape, dtype=complex)
+    out.real, out.imag = y[0::2], y[1::2]
+    return out
 
 
 def _cache_dir() -> pathlib.Path:
@@ -141,9 +181,9 @@ def kernel_backend() -> str:
 def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     """numpy_step, run by the C kernel when it is available.
 
-    The two agree to rounding: the C loop takes every sum and product in
-    numpy's order, but numpy may fuse its complex products on CPUs with
-    FMA.  Returns a new array; the input is not modified.
+    The two give the same bits: both take every real product and sum in
+    one order, each rounded once.  Returns a new array; the input is not
+    modified.
     """
     lib = c_library()
     if lib is None:

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import pathlib
 import sys
 import time
@@ -136,8 +137,8 @@ def cmd_evolve(args) -> dict:
                                     record_every=args.record_every,
                                     tol_drift=args.tol_drift)
     diags = dynamics.evolve(fields, record.params, cfg)
-    write_csv(args.out, [f.name for f in dataclasses.fields(Diagnostics)],
-              map(dataclasses.astuple, diags),
+    names = [f.name for f in dataclasses.fields(Diagnostics)]
+    write_csv(args.out, names, map(operator.attrgetter(*names), diags),
               _sibling(args.out, ".manifest.json"))
     last = diags[-1]
     print(f"evolved to t={format_float(last.t)}: drift_a={last.drift_a:.3e} "

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ambec import _kernels
+from ambec import _kernels, dynamics
 from ambec._kernels import nonlinear_step, numpy_step
 from ambec.ansatz import sample_fields
+from ambec.cli import main
 from ambec.consistency import solve_family_I
 from ambec.core import CouplingParams, FieldPair, Grid
 from ambec.dynamics import (PropagatorConfig, conserved_number, default_grid,
@@ -110,6 +111,67 @@ class TestConservedQuantities:
         assert numeric == pytest.approx(analytic, rel=1e-6)
 
 
+def _derivative_moments(fields, params):
+    """N_a, N_m and E by the formulas that conserved_number and
+    mean_field_energy used before they shared the record point's spectrum
+    (|psi|^2 by np.abs, the kinetic term from the spectral derivative
+    ifft(i k fft(psi))), and the scale of E: dx sum |term| over its terms."""
+    grid = fields.grid
+    dx = grid.dx
+    N_a = dx * float(np.sum(np.abs(fields.psi_a) ** 2))
+    N_m = dx * float(np.sum(np.abs(fields.psi_m) ** 2))
+    psi = np.stack((fields.psi_a, fields.psi_m))
+    d = np.fft.ifft(1j * grid.k() * np.fft.fft(psi))
+    dd = d.real ** 2 + d.imag ** 2
+    na, nm = psi.real ** 2 + psi.imag ** 2
+    pa, pm = psi
+    terms = (0.5 * dd[0] + 0.25 * dd[1], params.epsilon * nm,
+             0.5 * params.g_a * na ** 2, 0.5 * params.g_m * nm ** 2,
+             params.g_am * na * nm,
+             (params.alpha / math.sqrt(2.0)) * 2.0
+             * np.real(np.conj(pm) * pa * pa))
+    E = dx * float(np.sum(sum(terms)))
+    scale = dx * sum(float(np.sum(np.abs(t))) for t in terms)
+    return N_a, N_m, E, scale
+
+
+class TestSpectrumMoments:
+    """The record point's N and E, taken from the sample and the spectrum
+    the step already holds, against the derivative formulas."""
+
+    # smooth random fields: a Gaussian envelope of width kappa in k keeps
+    # the kinetic and local terms of E comparable
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n=st.sampled_from([64, 96, 101, 2048]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           kappa=st.floats(0.5, 5.0), amplitude=st.floats(0.1, 3.0),
+           couplings=st.tuples(*[st.floats(-3.0, 3.0)] * 5),
+           dt=st.floats(-1e-2, 1e-2))
+    def test_matches_derivative_formulas(self, n, seed, kappa, amplitude,
+                                         couplings, dt):
+        grid = make_grid(10.0, n)
+        k2 = grid.k() ** 2
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        psi = np.fft.ifft(np.exp(-0.5 * k2 / kappa ** 2) * noise)
+        psi *= amplitude / np.max(np.abs(psi))
+        params = CouplingParams(*couplings)
+        # a record point: the sample is a half kinetic step past F
+        F = np.fft.fft(psi)
+        half = np.exp(np.multiply.outer([-0.25j, -0.125j], k2) * dt)
+        sample = np.fft.ifft(half * F)
+        fields = FieldPair(grid, sample[0], sample[1])
+        N_a, N_m, E, scale = _derivative_moments(fields, params)
+        got = dynamics._moments(sample, grid.dx, F,
+                                dynamics._kinetic_weights(k2), params)
+        assert got[:2] == pytest.approx((N_a, N_m), rel=1e-12, abs=0.0)
+        assert abs(got[2] - E) <= 1e-12 * scale
+        # the public functions share the helper
+        assert conserved_number(fields)[1:] == pytest.approx(
+            (N_a, N_m), rel=1e-12, abs=0.0)
+        assert abs(mean_field_energy(fields, params) - E) <= 1e-12 * scale
+
+
 class TestStationaryEvolution:
     def test_short_run_drift(self, fam1_record):
         fields, _ = _fields(fam1_record, 1024)
@@ -175,6 +237,44 @@ class TestNumberConservation:
         assert abs(last.N - first.N) <= 1e-10 * first.N
 
 
+class TestStrangOrder:
+    # the admissible family I couplings of TestNumberConservation, with beta
+    # at most 2, so that the n = 512 default grid (beta dx <= 0.16) puts the
+    # spatial error far below the splitting error
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(g_a=st.floats(-10.0, 10.0), g_am=st.floats(-10.0, 10.0),
+           alpha=st.floats(0.1, 10.0), negative_alpha=st.booleans(),
+           fraction=st.floats(0.01, 0.99))
+    def test_error_quarters_under_dt_halving(self, g_a, g_am, alpha,
+                                             negative_alpha, fraction):
+        assume(g_a + g_am >= 0.1)
+        if negative_alpha:
+            alpha = -alpha
+        beta = fraction * abs(alpha) * math.sqrt(2.0 / (9.0 * (g_a + g_am)))
+        assume(beta <= 2.0)
+        rec = solve_family_I(g_a, g_am, alpha, beta)
+        fields, grid = _fields(rec, 512)
+        # a tenth over the fastest local rate (|mu| and the largest
+        # potential the fields see), or half the step at which the kinetic
+        # phase wraps: 16 steps against 32 of half the size
+        p = rec.params
+        abs_a, abs_m = np.abs(fields.psi_a), np.abs(fields.psi_m)
+        rate = abs(rec.mu) + abs(p.epsilon) + float(np.max(
+            (abs(p.g_a) + abs(p.g_am)) * abs_a ** 2
+            + (abs(p.g_m) + abs(p.g_am)) * abs_m ** 2
+            + math.sqrt(2.0) * abs(p.alpha) * (abs_a + abs_m)))
+        dt = min(0.1 / rate, math.pi / float(np.max(grid.k() ** 2)))
+        exact = sample_fields(rec, grid, t=16 * dt)
+
+        def final_err(step, count):
+            run = fields.copy()
+            evolve(run, p, PropagatorConfig(dt=step, T=count * step))
+            return float(np.max(np.abs(run.psi_a - exact.psi_a)))
+
+        ratio = final_err(dt, 16) / final_err(dt / 2, 32)
+        assert 3.5 < ratio < 4.5
+
+
 class TestDecoupledLimit:
     def test_bright_soliton_survives(self):
         # alpha = 0 turns the atomic equation into plain attractive NLS
@@ -196,6 +296,21 @@ class TestFailureModes:
         fields.psi_m *= 50.0
         with pytest.raises(BlowUpError):
             evolve(fields, fam1_record.params, PropagatorConfig(dt=0.01, T=1.0))
+
+    @pytest.mark.parametrize("record_every", [4, 100])
+    def test_blow_up_raises_under_cli_errstate(self, fam1_record,
+                                               record_every):
+        # cli.main raises on every overflow; a run that blows up must still
+        # end in BlowUpError (exit 4), also where a record point samples
+        # fields whose densities overflow (step 4 here)
+        fields, _ = _fields(fam1_record)
+        fields.psi_a *= 50.0
+        fields.psi_m *= 50.0
+        cfg = PropagatorConfig(dt=0.01, T=1.0, record_every=record_every)
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                pytest.raises(BlowUpError) as err:
+            evolve(fields, fam1_record.params, cfg)
+        assert err.value.exit_code == 4
 
     def test_instability_raises_on_tight_tolerance(self, fam1_record):
         fields, _ = _fields(fam1_record)
@@ -273,8 +388,7 @@ class TestKernels(_KernelChecks):
             couplings = tuple(rng.uniform(-3.0, 3.0, 5))
             want = numpy_step(psi, dt, *couplings)
             got = nonlinear_step(psi, dt, *couplings)
-            assert (np.max(np.abs(got - want))
-                    <= 1e-14 * np.max(np.abs(want)))
+            assert np.array_equal(got, want)
 
     def test_strided_and_real_input(self):
         pa, pm, couplings = _random_fields(3)
@@ -374,6 +488,27 @@ class TestKernelBuild:
             manifest = json.loads((run_dir / "w.manifest.json").read_text())
             assert manifest["environment"] == {"kernel_backend": backend}
             out[backend] = (run_dir / "w.csv").read_bytes()
+        assert out["python"] == out["c"]
+
+    @needs_cc
+    def test_cli_evolve_same_bytes_with_numpy_substep(
+            self, fam1_record, tmp_path, monkeypatch):
+        # the numpy substep gives the C loop's bits, so evolve.csv does not
+        # depend on whether a compiler exists
+        rec = tmp_path / "rec.json"
+        rec.write_text(fam1_record.to_json())
+        out = {}
+        for backend in ("c", "python"):
+            if backend == "python":
+                monkeypatch.setattr(dynamics, "nonlinear_step", numpy_step)
+            run_dir = tmp_path / backend
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            assert main(["evolve", "--solution", str(rec), "--grid-n", "256",
+                         "--t", "0.2", "--dt", "1e-3", "--record-every", "10",
+                         "--out", "ev.csv"]) == 0
+            out[backend] = (run_dir / "ev.csv").read_bytes()
+        assert kernel_backend() == "c"
         assert out["python"] == out["c"]
 
     def test_import_and_solve_load_no_library(self, tmp_path):
