@@ -72,6 +72,15 @@ def _shift(p, c, f, y, cf):
     np.subtract(p[1::2], cf[0::2], out=y[1::2])
 
 
+def _field_pair(psi) -> np.ndarray:
+    """psi as a C-contiguous complex array of shape (2, n), else ValueError."""
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    if psi.ndim != 2 or len(psi) != 2:
+        raise ValueError(f"psi must stack two fields along axis 0, "
+                         f"got shape {psi.shape}")
+    return psi
+
+
 def numpy_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     """Advance the local nonlinear+coupling flow by dt with classical RK4.
 
@@ -87,10 +96,7 @@ def numpy_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     its order.  numpy's real `*` and `+` round each result once, so the two
     give the same bits.  Returns a new array; the input is not modified.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 2 or len(psi) != 2:
-        raise ValueError(f"psi must stack two fields along axis 0, "
-                         f"got shape {psi.shape}")
+    psi = _field_pair(psi)
     p = np.empty((4, psi.shape[1]))
     p[0::2], p[1::2] = psi.real, psi.imag
     k = (np.array([[g_a], [g_m]]), g_am, epsilon,
@@ -185,13 +191,10 @@ def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     one order, each rounded once.  Returns a new array; the input is not
     modified.
     """
+    psi = _field_pair(psi)
     lib = c_library()
     if lib is None:
         return numpy_step(psi, dt, g_a, g_m, g_am, alpha, epsilon)
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    if psi.shape[:1] != (2,):
-        raise ValueError(f"psi must stack two fields along axis 0, "
-                         f"got shape {psi.shape}")
     out = np.empty_like(psi)
     lib.nonlinear_step(psi.ctypes.data, out.ctypes.data, psi[0].size, dt,
                        g_a, g_m, g_am, SQRT2 * alpha, alpha / SQRT2, epsilon)

@@ -252,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     couplings.add_argument("--g-a", type=float, required=True)
     couplings.add_argument("--g-am", type=float, required=True)
     couplings.add_argument("--alpha", type=float, required=True)
-    couplings.add_argument("--tol", type=float, default=None,
-                           help="consistency tolerance (overrides AMBEC_TOL)")
+    couplings.add_argument("--tol", type=float,
+                           default=consistency.DEFAULT_TOL,
+                           help="consistency tolerance (default %(default)g)")
     solution = argparse.ArgumentParser(add_help=False)
     solution.add_argument("--solution", required=True)
     _add_grid_flags(solution)
@@ -342,8 +343,10 @@ def main(argv=None) -> int:
     """Run one command, then write its manifest beside --out.
 
     A command returns the manifest fields only it knows, if any.  A numpy
-    overflow, division by zero or NaN ends the run with exit code 3; code
-    that expects non-finite values opts out with its own np.errstate.
+    overflow, division by zero or NaN ends the run with exit code 3, as
+    does a Python float overflow or division by zero; code that expects
+    non-finite values opts out with its own np.errstate.  An allocation
+    that fails (a huge --count, --scan-n or --grid-n) exits 3.
     A TruncationWarning prints one `warning:` line; other warnings pass on.
     """
     args = build_parser().parse_args(argv)
@@ -362,8 +365,11 @@ def main(argv=None) -> int:
     except AmbecError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except FloatingPointError as e:
-        print(f"error: floating-point {e}", file=sys.stderr)
+    except ArithmeticError as e:  # numpy's under errstate, or Python's
+        print(f"error: floating-point {e.args[-1]}", file=sys.stderr)
+        return ConfigurationError.exit_code
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return ConfigurationError.exit_code
     return 0
 

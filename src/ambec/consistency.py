@@ -12,7 +12,6 @@ solution, so solve with |alpha| and flip D if the other branch is wanted.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import replace
 
@@ -25,6 +24,7 @@ from .errors import (ConfigurationError, ConvergenceError,
                      OutOfScopeRegimeError, OutOfScopeRootError,
                      SingularParameterError)
 
+#: the normalized-residual bound every solver gates on; the CLI's --tol default
 DEFAULT_TOL = 1e-9
 
 #: default Newton seed-scan boxes, (mu, epsilon) ranges in units of alpha^2
@@ -45,24 +45,8 @@ _REFINE_POINTS = 9
 
 
 def default_tol() -> float:
-    """Residual tolerance: AMBEC_TOL env var if set, else 1e-9.
-
-    An explicit tol argument anywhere overrides both.
-    """
-    raw = os.environ.get("AMBEC_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigurationError(f"AMBEC_TOL={raw!r} is not a number") from None
-
-
-def _resolve_tol(tol: float | None) -> float:
-    """The explicit tol, else default_tol(); either way it must be finite."""
-    tol = default_tol() if tol is None else tol
-    require_finite(tol=tol)
-    return tol
+    """The residual tolerance every solver gates on unless given another."""
+    return DEFAULT_TOL
 
 
 def _require_admissible(params: CouplingParams, family: str, **values) -> None:
@@ -308,7 +292,10 @@ def _equations(record: SolutionRecord) -> dict:
     A2, D2 = A * A, D * D
 
     def eq(*terms):
-        return math.fsum(terms), math.fsum(abs(t) for t in terms)
+        try:
+            return math.fsum(terms), math.fsum(abs(t) for t in terms)
+        except (OverflowError, ValueError):  # fsum of inf - inf, or overflow
+            return sum(terms), sum(map(abs, terms))
 
     if record.family == "I":
         den8 = 2.0 * al * al / (9.0 * b2) - ga - gam
@@ -377,14 +364,13 @@ def _verified(record: SolutionRecord, tol: float) -> SolutionRecord:
 
 
 def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
-                   *, tol: float | None = None) -> SolutionRecord:
+                   *, tol: float = DEFAULT_TOL) -> SolutionRecord:
     """Closed-form family I solve; g_m and epsilon are outputs.
 
     mu = -2 beta^2, epsilon = -3 beta^2, A^2 = D^2 with D opposite in sign
     to alpha, and g_m = (g_a - g_am)/2.
     """
-    tol = _resolve_tol(tol)
-    require_finite(g_a=g_a, g_am=g_am, alpha=alpha, beta=beta)
+    require_finite(g_a=g_a, g_am=g_am, alpha=alpha, beta=beta, tol=tol)
     if alpha == 0.0:
         raise ConfigurationError("family I needs alpha != 0")
     if not beta > 0.0:
@@ -432,15 +418,15 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
 
 
 def _solve_cat(family: str, params: CouplingParams, seed,
-               tol: float | None) -> SolutionRecord:
+               tol: float) -> SolutionRecord:
     """Newton-solve a family II/III system from a (mu, epsilon) seed.
 
     At the root every closed form of B must agree with the primary one
     before the sign scope of B, D and A^2 is checked.
     """
-    tol = _resolve_tol(tol)
     mu_g, eps_g = float(seed[0]), float(seed[1])
-    _require_admissible(params, family, seed_mu=mu_g, seed_epsilon=eps_g)
+    _require_admissible(params, family, seed_mu=mu_g, seed_epsilon=eps_g,
+                        tol=tol)
     if not _in_sign_scope(family, mu_g, eps_g):
         raise ConfigurationError(f"family {family} seeds need "
                                  f"{_SIGN_SCOPE[family]}, got {(mu_g, eps_g)}")
@@ -484,7 +470,7 @@ def _solve_cat(family: str, params: CouplingParams, seed,
 
 
 def solve_family_II(params: CouplingParams, seed, *,
-                    tol: float | None = None) -> SolutionRecord:
+                    tol: float = DEFAULT_TOL) -> SolutionRecord:
     """Newton-solve the family II conditions from a (mu, epsilon) seed.
 
     Any epsilon already on params is ignored; the solver determines it.
@@ -493,7 +479,7 @@ def solve_family_II(params: CouplingParams, seed, *,
 
 
 def solve_family_III(params: CouplingParams, seed, *,
-                     tol: float | None = None) -> SolutionRecord:
+                     tol: float = DEFAULT_TOL) -> SolutionRecord:
     """Newton-solve the family III conditions from a (mu, epsilon) seed.
 
     epsilon may converge to either sign; D takes the opposite sign.
@@ -609,7 +595,7 @@ def default_scan_ranges(family: str, alpha: float):
 
 def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
                     eps_range=None, n: int = 200,
-                    tol: float | None = None) -> SolutionRecord:
+                    tol: float = DEFAULT_TOL) -> SolutionRecord:
     """Scan for seeds, then try Newton from each candidate until one passes.
 
     The candidates are grid_scan_seed's, in its order, but each is
@@ -621,7 +607,7 @@ def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
     """
     if family not in ("II", "III"):
         raise ConfigurationError("scan-solve applies to families II and III")
-    tol = _resolve_tol(tol)
+    require_finite(tol=tol)
     d_mu, d_eps = default_scan_ranges(family, params.alpha)
     found, seeds = _scan_seeds(
         params, family, d_mu if mu_range is None else mu_range,

@@ -23,6 +23,7 @@ from ambec.wigner import CONVENTION
 
 FIG1 = ["--g-a", "3", "--g-am", "-2.8", "--alpha", "2"]
 CAT2 = ["--g-a", "-5", "--g-m", "1", "--g-am", "-1.1", "--alpha", "1"]
+CAT3 = ["--g-a", "-1.03", "--g-m", "-1.2", "--g-am", "-0.8", "--alpha", "1"]
 
 #: invocations by name, with the float flags of each that must be finite;
 #: SOLUTION stands for the path of a family I record
@@ -35,6 +36,9 @@ NUMERIC_FLAGS = {
                  "--seed-epsilon", "--tol"]),
     "II-scan": (["solve", "--family", "II", *CAT2, "--scan"],
                 ["--g-m", "--tol"]),
+    "III-seed": (["solve", "--family", "III", *CAT3, "--seed-mu", "-40",
+                  "--seed-epsilon", "19"], ["--tol"]),
+    "III-scan": (["solve", "--family", "III", *CAT3, "--scan"], ["--tol"]),
     "evolve": (["evolve", "--solution", "SOLUTION", "--grid-n", "64",
                 "--t", "0.01"],
                ["--grid-l", "--t", "--dt", "--tol-drift"]),
@@ -193,6 +197,21 @@ class TestSolve:
         assert rec.B > 0.0
         assert rec.B == pytest.approx(9.0 * 0.2 * 1e-18 / (2.0 * 4.0) / 4.0,
                                       rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [
+        # 2 alpha^2 / (9 beta^2) underflows to 0: a ZeroDivisionError
+        ["--g-a", "3", "--g-am=-1.7976931348623157e+308",
+         "--alpha", "5e-324", "--beta", "1"],
+        # a relation's terms hold inf and -inf: math.fsum raised ValueError
+        ["--g-a", "5e-324", "--g-am", "-0.0", "--alpha", "1e-160",
+         "--beta", "1"],
+    ], ids=["c-underflow", "inf-minus-inf"])
+    def test_family_I_extreme_couplings(self, flags, tmp_path, capsys):
+        rc = main(["solve", "--family", "I", *flags,
+                   "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert rc in (3, 4)
+        assert err.count("error:") == 1 and err.startswith("error: ")
 
     def test_out_of_scope_root(self, tmp_path):
         rc = main(["solve", "--family", "II", *CAT2,
@@ -654,8 +673,7 @@ README_SOLVES = {
     "I": ["--family", "I", *FIG1, "--beta", "1"],
     "II": ["--family", "II", *CAT2, "--seed-mu", "-0.1",
            "--seed-epsilon", "-0.44"],
-    "III": ["--family", "III", "--g-a", "-1.03", "--g-m", "-1.2",
-            "--g-am", "-0.8", "--alpha", "1", "--scan"],
+    "III": ["--family", "III", *CAT3, "--scan"],
 }
 
 #: a finite float or small int for one field of a record
@@ -724,7 +742,93 @@ class TestSolutionFuzz:
         assert [str(w.message) for w in caught] == []
 
 
+#: invocations by name, with the float flags of each to fuzz; SOLUTION
+#: stands for a README record.  --grid-n 64, --count 3 and --scan-n 8 keep
+#: every draw small
+FLOAT_FUZZ_RUNS = {
+    "profile": (["profile", "--solution", "SOLUTION", "--grid-n", "64"],
+                ["--grid-l", "--t"]),
+    "potential": (["potential", "--solution", "SOLUTION", "--grid-n", "64"],
+                  ["--grid-l"]),
+    "residual": (["residual", "--solution", "SOLUTION", "--grid-n", "64"],
+                 ["--grid-l"]),
+    "wigner": (["wigner", "--solution", "SOLUTION", "--grid-n", "64"],
+               ["--grid-l"]),
+    "scan": (["scan", *FIG1, "--mu-min", "-8", "--mu-max", "-1",
+              "--count", "3", "--grid-n", "64"],
+             ["--g-a", "--g-am", "--alpha", "--tol", "--mu", "--mu-min",
+              "--mu-max"]),
+    "solve-I": (["solve", *README_SOLVES["I"]],
+                ["--g-a", "--g-am", "--alpha", "--beta", "--tol"]),
+    "solve-II": (["solve", *README_SOLVES["II"]],
+                 ["--g-a", "--g-m", "--g-am", "--alpha", "--seed-mu",
+                  "--seed-epsilon", "--tol"]),
+    "solve-III-scan": (["solve", *README_SOLVES["III"], "--scan-n", "8"],
+                       ["--g-a", "--g-m", "--g-am", "--alpha", "--tol"]),
+}
+
+
+class TestFloatFlagFuzz:
+    """Any value of the float flags of the commands besides evolve and
+    inline wigner: an exit code, at most one `error:` line, no traceback
+    and no warning."""
+
+    @pytest.mark.parametrize("name", list(FLOAT_FUZZ_RUNS))
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data(), family=st.sampled_from(sorted(README_SOLVES)))
+    def test_exit_code_and_one_error_line(self, readme_records, name, data,
+                                          family):
+        tmp, _ = readme_records
+        base, flags = FLOAT_FUZZ_RUNS[name]
+        values = data.draw(st.fixed_dictionaries(
+            {flag: st.none() | EVOLVE_FLOATS for flag in flags}))
+        argv = [str(tmp / f"{family}.json") if a == "SOLUTION" else a
+                for a in base]
+        for flag, value in values.items():
+            if value is not None:
+                argv = _set_flag(argv, flag, value)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main([*argv, "--out", str(tmp / "fuzz.out")])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3, 4)
+        if rc:
+            assert lines and lines[-1].startswith("error: ")
+            lines = lines[:-1]
+        assert all(line.startswith("warning: ") for line in lines), lines
+        assert [str(w.message) for w in caught] == []
+
+
+class TestOutOfMemory:
+    """A size whose first array needs more than 2^47 bytes, beyond what a
+    process can address, fails at once: exit 3 and one `error:` line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", *FIG1, "--mu-min", "-8", "--mu-max", "-1",
+         "--count", "1000000000000000"],
+        ["solve", *README_SOLVES["III"], "--scan-n", "1000000000000000"],
+        ["profile", "--solution", "SOLUTION", "--grid-n", "1000000000000000"],
+    ], ids=["scan", "solve-scan", "profile"])
+    def test_huge_size_is_configuration_error(self, argv, rec_path, tmp_path,
+                                              capsys):
+        argv = [str(rec_path) if a == "SOLUTION" else a for a in argv]
+        rc = main([*argv, "--out", str(tmp_path / "x.out")])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert err.startswith("error: out of memory: ")
+
+
 class TestScan:
+    def test_python_float_overflow(self, tmp_path, capsys):
+        # alpha ** 2 in mu_critical raises OverflowError, not numpy's error
+        rc = main(["scan", "--g-a", "3", "--g-am", "-2.8",
+                   "--alpha", "1.3407807929942597e+154", "--mu", "-1",
+                   "--out", str(tmp_path / "scan.csv")])
+        _assert_one_error_line(rc, capsys.readouterr().err)
+
     def test_single_point(self, tmp_path):
         out = tmp_path / "scan.csv"
         mu = -40.0 / 9.0
@@ -826,6 +930,8 @@ class TestManifests:
                                    if command in ("evolve", "wigner") else {})
         assert man.version == TOOL_VERSION
         assert man.duration_s >= 0.0
+        if command in ("solve", "scan"):
+            assert man.parameters["tol"] == 1e-9
 
 
 class TestEntryPoint:

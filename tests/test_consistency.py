@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ambec import consistency
 from ambec.consistency import (check_consistency, default_scan_ranges,
-                               default_tol, grid_scan_seed,
-                               normalized_residuals, solve_family_I,
-                               solve_family_II, solve_family_III,
-                               solve_from_scan)
+                               grid_scan_seed, normalized_residuals,
+                               solve_family_I, solve_family_II,
+                               solve_family_III, solve_from_scan)
 from ambec.core import CouplingParams, SolutionRecord
 from ambec.errors import (AmbecError, ConfigurationError,
                           InconsistentRootError, NoDropletError,
@@ -215,14 +215,20 @@ class TestScanSeeding:
 
 
 class TestTolerancePlumbing:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("AMBEC_TOL", "1e-3")
-        assert default_tol() == 1e-3
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_tol_rejected_before_newton(self, tol, monkeypatch):
+        def never(*args):
+            raise AssertionError("Newton started")
 
-    def test_env_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("AMBEC_TOL", "banana")
-        with pytest.raises(ConfigurationError):
-            default_tol()
+        monkeypatch.setattr(consistency, "_newton2", never)
+        params = CouplingParams(-5.0, 1.0, -1.1, 1.0)
+        solves = [lambda: solve_family_I(3.0, -2.8, 2.0, 0.5, tol=tol),
+                  lambda: solve_family_II(params, (-0.1, -0.44), tol=tol),
+                  lambda: solve_family_III(params, (-0.1, -0.44), tol=tol),
+                  lambda: solve_from_scan("II", params, tol=tol)]
+        for solve in solves:
+            with pytest.raises(ConfigurationError, match="tol must be finite"):
+                solve()
 
     def test_explicit_tol_can_reject_good_roots(self):
         with pytest.raises(InconsistentRootError):

@@ -407,6 +407,27 @@ class TestNumpyKernel(_KernelChecks):
     kernel = staticmethod(numpy_step)
 
 
+class TestShapeRule:
+    """nonlinear_step takes exactly a (2, n) stack on either backend."""
+
+    @pytest.fixture(params=[pytest.param("c", marks=needs_cc), "python"])
+    def backend(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.setattr(_kernels, "c_library", lambda: None)
+        assert kernel_backend() == request.param
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3, 4)])
+    def test_other_shapes_rejected(self, backend, shape):
+        with pytest.raises(ValueError, match="two fields"):
+            nonlinear_step(np.ones(shape, dtype=complex), 1e-2,
+                           1.0, 1.0, 1.0, 1.0, 1.0)
+
+    def test_field_pair_accepted(self, backend):
+        pa, pm, couplings = _random_fields(11, n=16)
+        psi = np.stack((pa, pm))
+        assert nonlinear_step(psi, 1e-2, *couplings).shape == (2, 16)
+
+
 def _run_python(code, cache, **env):
     """Run code in a fresh interpreter whose kernel cache is `cache`."""
     return subprocess.run(
