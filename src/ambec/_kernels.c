@@ -7,9 +7,12 @@
  *   i dpsi_m/dt = (epsilon + g_m|psi_m|^2 + g_am|psi_a|^2) psi_m + c2 psi_a^2
  * with c1 = sqrt(2) alpha and c2 = alpha / sqrt(2) passed in as numpy forms
  * them.  The step h = -i dt is folded into each shift:
- * (h c) z = c dt (Im z, -Re z).  numpy_step takes every product and sum of
- * rhs and shift in the same order on real planes, and this file is compiled
- * with -ffp-contract=off, so the two give the same bits.
+ * (h c) z = c dt (Im z, -Re z).  numpy_step is this code written line for
+ * line in numpy: each statement of rhs, shift and nonlinear_step has one
+ * counterpart there, in the same order, on whole planes of real values.
+ * Each real product and sum rounds once in both (this file is compiled
+ * with -ffp-contract=off), so the two give the same bits.  Change one only
+ * with the other.
  *
  * psi and out hold the stacked (2, n) complex field as interleaved doubles:
  * psi_a[j] at [2j, 2j+1], psi_m[j] at [2n+2j, 2n+2j+1].

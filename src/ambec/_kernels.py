@@ -2,13 +2,12 @@
 the Wigner lattice's rows; each runs in the C library when it loads.
 
 The pointwise nonlinear+coupling flow used between kinetic steps, on the
-stacked field pair psi = (psi_a, psi_m) of shape (2, n).  `numpy_step` is
-the reference.  `nonlinear_step` runs the same RK4 as a C loop over grid
-points (`_kernels.c`), with the same bits, and falls back to `numpy_step`
-when that cannot be built or loaded.  `lattice_rows` renders the lattice
-rows that `manifest.write_lattice_csv` writes: in the same library, else by
-Python's `%`, the reference.  This module alone decides which
-implementation runs.
+stacked field pair psi = (psi_a, psi_m) of shape (2, n).  `nonlinear_step`
+runs it as the C loop of `_kernels.c` and falls back to `numpy_step`, the
+same loop in numpy, when that cannot be built or loaded.  `lattice_rows`
+renders the lattice rows that `manifest.write_lattice_csv` writes: in the
+same library, else by Python's `%`, the reference.  This module alone
+decides which implementation runs.
 
 The C file is compiled on the first call to `c_library` (through
 `nonlinear_step`, `lattice_rows` or `kernel_backend`), never at import,
@@ -39,37 +38,28 @@ CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _MAX_FLOAT_TEXT = 22
 
 
-def _rhs(p, k, f):
-    """f = H(p) of the local flow i dpsi/dt = H(psi) on the four real planes
-    p = (p0, p1, p2, p3) = (Re psi_a, Im psi_a, Re psi_m, Im psi_m), of
-    shape (4, n).
-
-    Each product and sum is one of `rhs` in `_kernels.c`, taken in its
-    order.  k = (g, g_am, epsilon, c) with g the column (g_a, g_m) and c the
-    column (sqrt(2) alpha, alpha/sqrt(2)).
-    """
-    g, g_am, epsilon, c = k
-    pairs = p.reshape(2, 2, -1)                  # ((p0, p1), (p2, p3))
-    sq = p * p
-    dens = sq[0::2] + sq[1::2]                   # (n_a, n_m)
-    s = g * dens
-    s[1] += epsilon
-    s += g_am * dens[::-1]                       # (s_a, s_m)
-    np.multiply(s[:, None], pairs, out=f.reshape(2, 2, -1))
-    u = c * pairs[::-1]                          # ur, ui, vr, vi
-    a = (u * p[0]).reshape(4, -1)                # (ur, ui, vr, vi) p0
-    b = (u[:, ::-1] * p[1]).reshape(4, -1)       # (ui, ur, vi, vr) p1
-    np.add(a[0::3], b[0::3], out=a[0::3])
-    np.subtract(a[1:3], b[1:3], out=a[1:3])
-    f += a
+def _rhs(p, k):
+    """H(p) of the local flow i dpsi/dt = H(psi) on the four real planes
+    p = (Re psi_a, Im psi_a, Re psi_m, Im psi_m): `rhs` in `_kernels.c`,
+    with k = (g_a, g_m, g_am, c1, c2, epsilon) its couplings struct."""
+    g_a, g_m, g_am, c1, c2, epsilon = k
+    p0, p1, p2, p3 = p
+    na = p0 * p0 + p1 * p1
+    nm = p2 * p2 + p3 * p3
+    sa = g_a * na + g_am * nm
+    sm = (epsilon + g_m * nm) + g_am * na
+    ur, ui = c1 * p2, c1 * p3                    # c1 psi_m
+    vr, vi = c2 * p0, c2 * p1                    # c2 psi_a
+    return (sa * p0 + (ur * p0 + ui * p1),
+            sa * p1 + (ui * p0 - ur * p1),
+            sm * p2 + (vr * p0 - vi * p1),
+            sm * p3 + (vr * p1 + vi * p0))
 
 
-def _shift(p, c, f, y, cf):
-    """y = p + (-i c) f per complex component: p + c (Im f, -Re f), as
-    `shift` in `_kernels.c`; cf is scratch."""
-    np.multiply(c, f, out=cf)
-    np.add(p[0::2], cf[1::2], out=y[0::2])
-    np.subtract(p[1::2], cf[0::2], out=y[1::2])
+def _shift(p, c, f):
+    """p + (-i c) f per complex component: `shift` in `_kernels.c`."""
+    return (p[0] + c * f[1], p[1] - c * f[0],
+            p[2] + c * f[3], p[3] - c * f[2])
 
 
 def _field_pair(psi) -> np.ndarray:
@@ -91,29 +81,27 @@ def numpy_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     flow non-diagonal, so a real integrator is used instead of an exact
     phase rotation.
 
-    The arithmetic is real, on the planes Re psi_a, Im psi_a, Re psi_m and
-    Im psi_m, with every product and sum of the C loop in `_kernels.c` in
-    its order.  numpy's real `*` and `+` round each result once, so the two
-    give the same bits.  Returns a new array; the input is not modified.
+    This is the C loop of `_kernels.c` written line for line in numpy:
+    each statement of its `rhs`, `shift` and `nonlinear_step` has one
+    counterpart in `_rhs`, `_shift` and the lines below, in the same
+    order, on the real planes (Re psi_a, Im psi_a, Re psi_m, Im psi_m).
+    numpy's real `*` and `+` round each result once, as the C does, so the
+    two give the same bits.  Change one only with the other.  Returns a
+    new array; the input is not modified.
     """
     psi = _field_pair(psi)
-    p = np.empty((4, psi.shape[1]))
-    p[0::2], p[1::2] = psi.real, psi.imag
-    k = (np.array([[g_a], [g_m]]), g_am, epsilon,
-         np.array([SQRT2 * alpha, alpha / SQRT2]).reshape(2, 1, 1))
-    acc, f, y, cf = (np.empty_like(p) for _ in range(4))
-    half = 0.5 * dt
-    _rhs(p, k, acc)
-    _shift(p, half, acc, y, cf)
-    _rhs(y, k, f)
-    acc += np.multiply(2.0, f, out=cf)
-    _shift(p, half, f, y, cf)
-    _rhs(y, k, f)
-    acc += np.multiply(2.0, f, out=cf)
-    _shift(p, dt, f, y, cf)
-    _rhs(y, k, f)
-    acc += f
-    _shift(p, dt / 6.0, acc, y, cf)
+    re, im = psi.real.copy(), psi.imag.copy()    # contiguous planes
+    p = (re[0], im[0], re[1], im[1])
+    k = (g_a, g_m, g_am, SQRT2 * alpha, alpha / SQRT2, epsilon)
+    half, sixth = 0.5 * dt, dt / 6.0
+    acc = _rhs(p, k)
+    f = _rhs(_shift(p, half, acc), k)
+    acc = [a + 2.0 * b for a, b in zip(acc, f)]
+    f = _rhs(_shift(p, half, f), k)
+    acc = [a + 2.0 * b for a, b in zip(acc, f)]
+    f = _rhs(_shift(p, dt, f), k)
+    acc = [a + b for a, b in zip(acc, f)]
+    y = _shift(p, sixth, acc)
     out = np.empty(psi.shape, dtype=complex)
     out.real, out.imag = y[0::2], y[1::2]
     return out

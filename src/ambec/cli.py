@@ -64,12 +64,30 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
+#: the flags each solve mode reads besides the couplings, --tol and --out;
+#: --scan-n is left out, as its default (200) cannot be told from unset
+_SOLVE_MODES = {
+    "family I": ("beta",),
+    "a solve from --seed-mu/--seed-epsilon": ("g_m", "seed_mu",
+                                              "seed_epsilon"),
+    "a --scan solve": ("g_m", "scan", "mu_range", "eps_range"),
+}
+_SOLVE_FLAGS = tuple(dict.fromkeys(name for reads in _SOLVE_MODES.values()
+                                   for name in reads))
+
+
 def cmd_solve(args) -> None:
     tol = args.tol
-    if args.family == "I":
-        if args.g_m is not None:
+    mode = ("family I" if args.family == "I"
+            else "a --scan solve" if args.scan
+            else "a solve from --seed-mu/--seed-epsilon")
+    for name in _SOLVE_FLAGS:
+        value = getattr(args, name)
+        if (name not in _SOLVE_MODES[mode]
+                and value is not None and value is not False):
             raise ConfigurationError(
-                "family I derives g_m = (g_a - g_am)/2; do not pass --g-m")
+                f"{mode} does not read --{name.replace('_', '-')}")
+    if args.family == "I":
         if args.beta is None:
             raise ConfigurationError("family I needs --beta")
         record = consistency.solve_family_I(args.g_a, args.g_am, args.alpha,

@@ -382,6 +382,9 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
     if b2 == 0.0:
         raise ConfigurationError(f"beta = {beta:g} is too small: beta^2 "
                                  "underflows to 0")
+    if math.isinf(9.0 * b2):
+        raise ConfigurationError(f"beta = {beta:g} is too large: 9 beta^2 "
+                                 "overflows")
     mu = -2.0 * b2
     eps = -3.0 * b2
     c = 2.0 * alpha * alpha / (9.0 * b2)

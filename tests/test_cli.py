@@ -23,6 +23,8 @@ from ambec.wigner import CONVENTION
 
 FIG1 = ["--g-a", "3", "--g-am", "-2.8", "--alpha", "2"]
 CAT2 = ["--g-a", "-5", "--g-m", "1", "--g-am", "-1.1", "--alpha", "1"]
+CAT2_SEEDED = ["--family", "II", *CAT2, "--seed-mu", "-0.1",
+               "--seed-epsilon", "-0.44"]
 CAT3 = ["--g-a", "-1.03", "--g-m", "-1.2", "--g-am", "-0.8", "--alpha", "1"]
 
 #: invocations by name, with the float flags of each that must be finite;
@@ -30,8 +32,7 @@ CAT3 = ["--g-a", "-1.03", "--g-m", "-1.2", "--g-am", "-0.8", "--alpha", "1"]
 NUMERIC_FLAGS = {
     "I": (["solve", "--family", "I", *FIG1, "--beta", "1"],
           ["--g-a", "--g-am", "--alpha", "--beta", "--tol"]),
-    "II-seed": (["solve", "--family", "II", *CAT2, "--seed-mu", "-0.1",
-                 "--seed-epsilon", "-0.44"],
+    "II-seed": (["solve", *CAT2_SEEDED],
                 ["--g-a", "--g-m", "--g-am", "--alpha", "--seed-mu",
                  "--seed-epsilon", "--tol"]),
     "II-scan": (["solve", "--family", "II", *CAT2, "--scan"],
@@ -185,6 +186,35 @@ class TestSolve:
         assert rc == 3
         assert err.count("error:") == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--g-a=-1.0", "--g-am=-0.0", "--alpha=1e+154",
+         "--beta=1.7976931348623157e+308"],
+        [*FIG1, "--beta=1e200"],
+    ], ids=["max-float", "readme-couplings"])
+    def test_beta_square_overflow(self, flags, tmp_path, capsys):
+        # exited 2, as "B = nan" or "mu = -inf" out of scope
+        rc = main(["solve", "--family", "I", *flags,
+                   "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("error:") == 1 and "overflows" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--family", "I", *FIG1, "--beta", "1", "--scan"], "--scan"),
+        (["--family", "I", *FIG1, "--beta", "1", "--seed-mu", "-1",
+          "--seed-epsilon", "-1"], "--seed-mu"),
+        ([*CAT2_SEEDED, "--beta", "3"], "--beta"),
+        ([*CAT2_SEEDED, "--mu-range", "-1", "-0.5"], "--mu-range"),
+        ([*CAT2_SEEDED, "--scan"], "--seed-mu"),
+    ], ids=["I-scan", "I-seeds", "II-seed-beta", "II-seed-mu-range",
+            "II-scan-seeds"])
+    def test_flag_the_mode_does_not_read(self, argv, flag, tmp_path, capsys):
+        rc = main(["solve", *argv, "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert f"does not read {flag}" in err
 
     def test_family_I_small_beta(self, tmp_path):
         # B = (beta/beta_max)^2 / 4 to first order; computed as
@@ -671,8 +701,7 @@ class TestWignerInlineFuzz:
 #: the README family I, II and III solves
 README_SOLVES = {
     "I": ["--family", "I", *FIG1, "--beta", "1"],
-    "II": ["--family", "II", *CAT2, "--seed-mu", "-0.1",
-           "--seed-epsilon", "-0.44"],
+    "II": CAT2_SEEDED,
     "III": ["--family", "III", *CAT3, "--scan"],
 }
 

@@ -390,6 +390,28 @@ class TestKernels(_KernelChecks):
             got = nonlinear_step(psi, dt, *couplings)
             assert np.array_equal(got, want)
 
+    @needs_cc
+    @pytest.mark.parametrize("dt", [1e-2, -1e-2, 5e-4, -5e-4])
+    @pytest.mark.parametrize("scale", [0.0, 5e-324, 1e-300, 1e-160, 1.0,
+                                       1e100, 1e150, 1e154, 1e200])
+    def test_c_matches_numpy_bits_at_extremes(self, scale, dt):
+        # underflow, overflow to inf, inf - inf and the sign of each zero
+        # must come out the same; any NaN counts as equal to any NaN
+        assert kernel_backend() == "c"
+        rng = np.random.default_rng(33)
+        for _ in range(5):
+            psi = scale * (rng.standard_normal((2, 33))
+                           + 1j * rng.standard_normal((2, 33)))
+            psi.real[:, :3] = -0.0
+            psi.imag[:, 1:4] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]
+            couplings = tuple(rng.uniform(-3.0, 3.0, 5))
+            with np.errstate(all="ignore"):
+                want = numpy_step(psi, dt, *couplings).view(float)
+                got = nonlinear_step(psi, dt, *couplings).view(float)
+            same = ((got.view(np.uint64) == want.view(np.uint64))
+                    | (np.isnan(got) & np.isnan(want)))
+            assert same.all()
+
     def test_strided_and_real_input(self):
         pa, pm, couplings = _random_fields(3)
         psi = np.stack((pa, pm))
