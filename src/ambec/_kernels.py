@@ -194,7 +194,8 @@ def lattice_rows(x_texts, p_texts, W):
     "<x_i>,<p_j>,<W_ij>\n" for every j, with W_ij as "%.15g" % W_ij.
 
     x_texts and p_texts are the coordinates as text; W is a float array of
-    shape (len(x_texts), len(p_texts)), else ValueError.  The C library
+    shape (len(x_texts), len(p_texts)), which `write_lattice_csv` checks
+    before the C library reads its rows.  The C library
     renders the W values when it loads: zeros are written directly, a long
     double fast path writes the digits it is sure of, and snprintf under the
     C locale writes the rest (near-ties at the 15th digit, inf and NaN).
@@ -204,9 +205,6 @@ def lattice_rows(x_texts, p_texts, W):
     """
     W = np.ascontiguousarray(W, dtype=float)
     n_p = len(p_texts)
-    if W.shape != (len(x_texts), n_p):
-        raise ValueError(f"W has shape {W.shape}, the lattice is "
-                         f"({len(x_texts)}, {n_p})")
     lib = c_library()
     if lib is None:
         # "<x>".join(pieces) is the row "<x>,<p_0>,%.15g\n<x>,<p_1>,..."

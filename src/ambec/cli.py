@@ -25,7 +25,7 @@ from .core import (CouplingParams, Diagnostics, Grid, SolutionRecord,
                    require_finite)
 from .errors import AmbecError, ConfigurationError, TruncationWarning
 from .manifest import (RunManifest, format_float, open_output, write_csv,
-                       write_lattice_csv)
+                       write_json, write_lattice_csv)
 
 
 def _sibling(out: str, suffix: str) -> str:
@@ -51,17 +51,6 @@ def _record_and_grid(args) -> tuple[SolutionRecord, Grid]:
     L = (args.grid_l if args.grid_l is not None
          else dynamics.default_half_width(record.beta))
     return record, dynamics.make_grid(L, args.grid_n)
-
-
-def _round15(v):
-    return float(format_float(v)) if isinstance(v, float) else v
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open_output(path) as f:
-        json.dump({k: _round15(v) for k, v in payload.items()},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 #: the flags each solve mode reads besides the couplings, --tol and --out;
@@ -207,7 +196,7 @@ def cmd_wigner(args) -> dict:
     payload["fringe_spacing"] = fringe
     payload["norm"] = w.norm
     metrics_path = _sibling(args.out, ".metrics.json")
-    _write_json(metrics_path, payload)
+    write_json(metrics_path, payload)
     print(f"W(0,0)={format_float(metrics.w00)} ratio={format_float(metrics.ratio)} "
           f"negative_volume={format_float(metrics.negative_volume)} "
           f"-> {args.out}, {metrics_path}")
@@ -219,6 +208,11 @@ def cmd_scan(args) -> None:
     require_finite(g_a=args.g_a, g_am=args.g_am, alpha=args.alpha, mu=args.mu,
                    mu_min=args.mu_min, mu_max=args.mu_max, tol=args.tol)
     if args.mu is not None:
+        # --count is left out, as its default (20) cannot be told from unset
+        for name in ("mu_min", "mu_max"):
+            if getattr(args, name) is not None:
+                raise ConfigurationError("a scan at one --mu does not read "
+                                         f"--{name.replace('_', '-')}")
         mus = [args.mu]
     else:
         if args.mu_min is None or args.mu_max is None:

@@ -385,9 +385,12 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
     if math.isinf(9.0 * b2):
         raise ConfigurationError(f"beta = {beta:g} is too large: 9 beta^2 "
                                  "overflows")
+    c = 2.0 * alpha * alpha / (9.0 * b2)
+    if math.isinf(c):
+        raise ConfigurationError(f"alpha = {alpha:g} is too large: "
+                                 "2 alpha^2/(9 beta^2) overflows")
     mu = -2.0 * b2
     eps = -3.0 * b2
-    c = 2.0 * alpha * alpha / (9.0 * b2)
     den = c - g_a - g_am
     if den <= 0.0:
         beta_max = abs(alpha) * math.sqrt(2.0 / (9.0 * (g_a + g_am)))

@@ -1,20 +1,20 @@
-"""Run manifests and deterministic CSV input/output.
+"""Run manifests and deterministic CSV/JSON input/output.
 
 Every data file the CLI writes is paired with a manifest JSON recording
 the command, its full parameter set, tool version, file paths, wall time
 and, for `evolve` and `wigner`, the kernel backend; `cli.main` assembles
 the one RunManifest of each run.  Data files themselves are byte-identical
-across reruns; only the manifest's duration field may differ.  The text of
-the Wigner lattice's rows comes from `_kernels.lattice_rows`, which picks
-the C or the Python renderer.
+across reruns; only the manifest's duration field may differ.  Each format
+has one writer: `write_csv` (row by row, so a TypeError can leave a partly
+written file), `write_lattice_csv` (row text from `_kernels.lattice_rows`,
+the C or the Python renderer) and `write_json`.
 """
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from . import _kernels
 from .errors import ConfigurationError
 
 TOOL_VERSION = "0.1.0"
-
-#: rows formatted and written per call by write_csv
-_BLOCK_ROWS = 4096
 
 
 def format_float(v: float) -> str:
@@ -46,6 +43,15 @@ def open_output(path: str):
         raise ConfigurationError(f"cannot write {path}: {e}") from e
 
 
+def write_json(path: str, payload: dict) -> None:
+    """payload as JSON with sorted keys, a 2-space indent and a final
+    newline; its top-level floats are rounded to "%.15g", as in the CSVs."""
+    with open_output(path) as f:
+        json.dump({k: float(format_float(v)) if isinstance(v, float) else v
+                   for k, v in payload.items()}, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 @dataclass
 class RunManifest:
     """What produced a set of output files.
@@ -64,9 +70,7 @@ class RunManifest:
     environment: dict = field(default_factory=dict)
 
     def write(self, path: str) -> None:
-        with open_output(path) as f:
-            json.dump(asdict(self), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def read(cls, path: str) -> "RunManifest":
@@ -97,28 +101,26 @@ def write_csv(path: str, header, rows, manifest_path: str | None = None,
     its cells is written with "%.15g" (ints below 1e15 in magnitude come
     out as str(v) would print them).  A row of another length, a cell that
     is not a str in a text column, or one that is not a real number in a
-    number column raises TypeError.  Rows are formatted a block at a time,
-    so a TypeError can leave a partly written file.
+    number column raises TypeError.  Rows are written one at a time, so a
+    TypeError can leave a partly written file.
     """
     rows = iter(rows)
     with _csv_output(path, header, manifest_path, comments) as f:
-        block = list(islice(rows, _BLOCK_ROWS))
-        if block:
-            width = len(block[0])
-            text_cols = [j for j, v in enumerate(block[0])
-                         if isinstance(v, str)]
-            row_fmt = ",".join("%s" if j in text_cols else "%.15g"
-                               for j in range(width)) + "\n"
-        while block:
-            if set(map(len, block)) != {width}:
+        first = next(rows, None)
+        if first is None:
+            return
+        width = len(first)
+        text_cols = [j for j, v in enumerate(first) if isinstance(v, str)]
+        row_fmt = ",".join("%s" if j in text_cols else "%.15g"
+                           for j in range(width)) + "\n"
+        for row in chain((first,), rows):
+            if len(row) != width:
                 raise TypeError(f"{path}: every row needs {width} cells")
             for j in text_cols:
-                if not all(map(isinstance, map(itemgetter(j), block),
-                               repeat(str))):
+                if not isinstance(row[j], str):
                     raise TypeError(f"{path}: column {j} holds text, so "
                                     "every cell of it must be a str")
-            f.write((row_fmt * len(block)) % tuple(chain.from_iterable(block)))
-            block = list(islice(rows, _BLOCK_ROWS))
+            f.write(row_fmt % tuple(row))
 
 
 def write_lattice_csv(path: str, header, x, p, W,

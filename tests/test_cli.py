@@ -228,20 +228,29 @@ class TestSolve:
         assert rec.B == pytest.approx(9.0 * 0.2 * 1e-18 / (2.0 * 4.0) / 4.0,
                                       rel=1e-12)
 
-    @pytest.mark.parametrize("flags", [
+    @pytest.mark.parametrize("flags, message", [
         # 2 alpha^2 / (9 beta^2) underflows to 0: a ZeroDivisionError
-        ["--g-a", "3", "--g-am=-1.7976931348623157e+308",
-         "--alpha", "5e-324", "--beta", "1"],
+        (["--g-a", "3", "--g-am=-1.7976931348623157e+308",
+          "--alpha", "5e-324", "--beta", "1"], None),
         # a relation's terms hold inf and -inf: math.fsum raised ValueError
-        ["--g-a", "5e-324", "--g-am", "-0.0", "--alpha", "1e-160",
-         "--beta", "1"],
-    ], ids=["c-underflow", "inf-minus-inf"])
-    def test_family_I_extreme_couplings(self, flags, tmp_path, capsys):
+        (["--g-a", "5e-324", "--g-am", "-0.0", "--alpha", "1e-160",
+          "--beta", "1"], None),
+        # 2 alpha^2 overflows: the message blamed a beta too small
+        (["--g-a=3", "--g-am=-2.8", "--alpha=1e+300", "--beta=1"],
+         "alpha = 1e+300 is too large: 2 alpha^2/(9 beta^2) overflows"),
+        (["--g-a=-1.0", "--g-am=-0.0", "--alpha=1e+154", "--beta=4.4e153"],
+         "alpha = 1e+154 is too large: 2 alpha^2/(9 beta^2) overflows"),
+    ], ids=["c-underflow", "inf-minus-inf", "c-overflow",
+            "c-overflow-large-beta"])
+    def test_family_I_extreme_couplings(self, flags, message, tmp_path,
+                                        capsys):
         rc = main(["solve", "--family", "I", *flags,
                    "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
         assert rc in (3, 4)
         assert err.count("error:") == 1 and err.startswith("error: ")
+        if message is not None:
+            assert rc == 3 and message in err
 
     def test_out_of_scope_root(self, tmp_path):
         rc = main(["solve", "--family", "II", *CAT2,
@@ -857,6 +866,20 @@ class TestScan:
                    "--alpha", "1.3407807929942597e+154", "--mu", "-1",
                    "--out", str(tmp_path / "scan.csv")])
         _assert_one_error_line(rc, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--mu-min", "-8", "--mu-max", "-1"], "--mu-min"),
+        (["--mu-max", "-1"], "--mu-max"),
+    ], ids=["mu-range", "mu-max"])
+    def test_single_point_rejects_range_flags(self, flags, flag, tmp_path,
+                                              capsys):
+        out = tmp_path / "scan.csv"
+        rc = main(["scan", *FIG1, "--mu", "-1", *flags, "--count", "5",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert f"does not read {flag}" in err
+        assert not out.exists()
 
     def test_single_point(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -1,8 +1,12 @@
-"""The package reads the process environment in one function only.
+"""The package reads the process environment in one function only, and
+writes files through one opener and JSON through one writer.
 
 Every input that changes an output is a flag, so the manifest records it.
 `_kernels._cache_dir` reads XDG_CACHE_HOME, where the compiled kernel is
-kept; that path changes no output.
+kept; that path changes no output.  Every output file is opened by
+`manifest.open_output`, which fixes the encoding and line ends and maps
+OSError to exit 3, and every JSON file is written by `manifest.write_json`,
+which fixes its layout.
 """
 import ast
 import pathlib
@@ -18,27 +22,59 @@ ALLOWED = {"_kernels.py": {"_cache_dir"}}
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
-def _environment_reads(source: str) -> list[str]:
-    """`function:line` of each os.environ or os.getenv in the source, and
-    of each `from os import` of them; "<module>" outside any function."""
-    reads = []
+def _found(source: str, match) -> list[str]:
+    """`function:line` of each node of the source that match(node) accepts;
+    "<module>" outside any function."""
+    found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             inner = (child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
-            if (isinstance(child, ast.Attribute)
-                    and isinstance(child.value, ast.Name)
-                    and child.value.id == "os"
-                    and child.attr in _ENVIRONMENT):
-                reads.append(f"{where}:{child.lineno}")
-            elif (isinstance(child, ast.ImportFrom) and child.module == "os"
-                  and {a.name for a in child.names} & _ENVIRONMENT):
-                reads.append(f"{where}:{child.lineno}")
+            if match(child):
+                found.append(f"{where}:{child.lineno}")
             visit(child, inner)
 
     visit(ast.parse(source), "<module>")
-    return reads
+    return found
+
+
+def _is_environment_read(node) -> bool:
+    """os.environ or os.getenv, or a `from os import` of them."""
+    return ((isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "os"
+             and node.attr in _ENVIRONMENT)
+            or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and bool({a.name for a in node.names} & _ENVIRONMENT)))
+
+
+def _is_json_dump(node) -> bool:
+    """json.dump, or a `from json import dump`."""
+    return ((isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "json"
+             and node.attr == "dump")
+            or (isinstance(node, ast.ImportFrom) and node.module == "json"
+                and "dump" in {a.name for a in node.names}))
+
+
+def _is_write_open(node) -> bool:
+    """A call of the builtin open whose mode writes (w, a, x or +) or is
+    not a literal."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return False
+    modes = node.args[1:2] + [k.value for k in node.keywords
+                              if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax+") for m in modes)
+
+
+#: what a rule finds -> the one function, in manifest.py, that may do it
+WRITERS = {_is_json_dump: "write_json", _is_write_open: "open_output"}
+
+
+def _environment_reads(source: str) -> list[str]:
+    return _found(source, _is_environment_read)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -46,6 +82,14 @@ def test_environment_read_only_where_allowed(path):
     reads = _environment_reads(path.read_text(encoding="utf-8"))
     allowed = ALLOWED.get(path.name, set())
     assert [r for r in reads if r.split(":")[0] not in allowed] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_json_dump_and_write_open_only_where_allowed(path):
+    source = path.read_text(encoding="utf-8")
+    for match, allowed in WRITERS.items():
+        found = {w.split(":")[0] for w in _found(source, match)}
+        assert found == ({allowed} if path.name == "manifest.py" else set())
 
 
 def test_detects_each_form_of_read():
@@ -61,3 +105,21 @@ def test_detects_each_form_of_read():
               "print(os.path.sep)\n")
     assert _environment_reads(source) == ["<module>:2", "<module>:3", "f:5",
                                           "inner:8"]
+
+
+def test_detects_each_form_of_write():
+    source = ("import json\n"
+              "from json import dump\n"
+              "def f(p, d):\n"
+              "    json.dump(d, open(p, 'w'))\n"
+              "def g(p, m):\n"
+              "    open(p, mode='ab')\n"
+              "    open(p, m)\n"
+              "    open(p, 'r+')\n"
+              "def h(p):\n"
+              "    open(p).read()\n"
+              "    open(p, 'rb')\n"
+              "    open(p, encoding='utf-8')\n"
+              "    json.dumps({}), json.load(open(p))\n")
+    assert _found(source, _is_json_dump) == ["<module>:2", "f:4"]
+    assert _found(source, _is_write_open) == ["f:4", "g:6", "g:7", "g:8"]

@@ -1,5 +1,7 @@
-"""CSV writers: same bytes as the per-cell rule, kind contract, Wigner layout."""
+"""CSV and JSON writers: same bytes as the per-cell rule, kind contract,
+Wigner layout, JSON layout."""
 import ctypes
+import json
 import math
 import os
 import pathlib
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from ambec import _kernels, ansatz, dynamics, wigner
 from ambec.cli import main
-from ambec.manifest import (_BLOCK_ROWS, read_csv, write_csv,
+from ambec.manifest import (RunManifest, read_csv, write_csv, write_json,
                             write_lattice_csv)
 
 SETTINGS = settings(derandomize=True, deadline=None)
@@ -71,9 +73,9 @@ CELLS = {
 FIRST_ROW_CELLS = {**CELLS, "text": CELLS["text"].filter(
     lambda s: not _parses_as_float(s))}
 
-#: row counts around the writer's block boundaries
-ROW_COUNTS = [0, 1, 2, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-              2 * _BLOCK_ROWS + 5]
+#: row counts up to and past 8,192, twice the 4,096-row blocks that an
+#: earlier writer formatted at a time
+ROW_COUNTS = [0, 1, 2, 7, 4095, 4096, 4097, 8197]
 
 
 @st.composite
@@ -141,12 +143,35 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("tail", [
         [(1.0,)], [(1.0, 2.0, 3.0)],
-        # one cell short, then one over: the cell count of the block is right
+        # one cell short, then one over: their cell count together is right
         [(1.0,), (1.0, 2.0, 3.0)]], ids=["short", "long", "short-long"])
     def test_row_of_another_length_raises(self, csv_path, tail):
-        rows = [(0.5, 0.25)] * (_BLOCK_ROWS + 2) + tail
+        rows = [(0.5, 0.25)] * 4098 + tail
         with pytest.raises(TypeError):
             write_csv(str(csv_path), ["a", "b"], rows)
+
+
+class TestWriteJson:
+    def test_layout(self, tmp_path):
+        path = tmp_path / "m.json"
+        payload = {"z": 0.1 + 0.2, "a": 7, "m": None, "s": "text",
+                   "n": {"y": 0.1 + 0.2, "b": [1, 2.5]}}
+        write_json(str(path), payload)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps({**payload, "z": 0.3}, indent=2,
+                                  sort_keys=True) + "\n"
+        back = json.loads(text)
+        assert back["z"] == 0.3
+        # only top-level floats are rounded
+        assert back["n"] == {"y": 0.1 + 0.2, "b": [1, 2.5]}
+        assert list(back) == ["a", "m", "n", "s", "z"]
+        assert text.startswith('{\n  "a": 7,\n') and text.endswith("}\n")
+
+    def test_manifest_duration_to_15_digits(self, tmp_path):
+        path = tmp_path / "m.manifest.json"
+        RunManifest("solve", {"beta": 2.0}, duration_s=0.1 + 0.2).write(
+            str(path))
+        assert RunManifest.read(str(path)).duration_s == 0.3
 
 
 def _lattice_reference(x, p, W, manifest=None, comments=()) -> bytes:
