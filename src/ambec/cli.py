@@ -53,48 +53,52 @@ def _record_and_grid(args) -> tuple[SolutionRecord, Grid]:
     return record, dynamics.make_grid(L, args.grid_n)
 
 
-#: the flags each solve mode reads besides the couplings, --tol and --out;
-#: --scan-n is left out, as its default (200) cannot be told from unset
-_SOLVE_MODES = {
-    "family I": ("beta",),
-    "a solve from --seed-mu/--seed-epsilon": ("g_m", "seed_mu",
-                                              "seed_epsilon"),
-    "a --scan solve": ("g_m", "scan", "mu_range", "eps_range"),
+#: each mode of solve, scan and wigner: the flags it needs and the other
+#: flags of its command that it takes.  A flag of another command is absent
+#: from args, so it reads as unset.
+_MODES = {
+    "family I": (("beta",), ()),
+    "a family II/III solve without --scan": (
+        ("g_m", "seed_mu", "seed_epsilon"), ()),
+    "a --scan solve": (("g_m",), ("scan", "mu_range", "eps_range", "scan_n")),
+    "a scan at one --mu": (("mu",), ()),
+    "a --mu-min/--mu-max scan": (("mu_min", "mu_max"), ("count",)),
+    "a --solution transform": (("solution",), ("component",)),
+    "a transform without --solution": (("beta", "delta", "kind"), ()),
 }
-_SOLVE_FLAGS = tuple(dict.fromkeys(name for reads in _SOLVE_MODES.values()
-                                   for name in reads))
+
+
+def _check_mode(args, mode: str) -> None:
+    """Reject the first set flag `mode` does not read or unset one it needs."""
+    needs, takes = _MODES[mode]
+    for name in dict.fromkeys(n for pair in _MODES.values()
+                              for names in pair for n in names):
+        value = getattr(args, name, None)
+        is_set = value is not None and value is not False
+        flag = "--" + name.replace("_", "-")
+        if is_set and name not in needs + takes:
+            raise ConfigurationError(f"{mode} does not read {flag}")
+        if not is_set and name in needs:
+            raise ConfigurationError(f"{mode} needs {flag}")
 
 
 def cmd_solve(args) -> None:
     tol = args.tol
-    mode = ("family I" if args.family == "I"
-            else "a --scan solve" if args.scan
-            else "a solve from --seed-mu/--seed-epsilon")
-    for name in _SOLVE_FLAGS:
-        value = getattr(args, name)
-        if (name not in _SOLVE_MODES[mode]
-                and value is not None and value is not False):
-            raise ConfigurationError(
-                f"{mode} does not read --{name.replace('_', '-')}")
+    _check_mode(args, "family I" if args.family == "I"
+                else "a --scan solve" if args.scan
+                else "a family II/III solve without --scan")
     if args.family == "I":
-        if args.beta is None:
-            raise ConfigurationError("family I needs --beta")
         record = consistency.solve_family_I(args.g_a, args.g_am, args.alpha,
                                             args.beta, tol=tol)
     else:
-        if args.g_m is None:
-            raise ConfigurationError(f"family {args.family} needs --g-m")
         params = CouplingParams(g_a=args.g_a, g_m=args.g_m, g_am=args.g_am,
                                 alpha=args.alpha)
         if args.scan:
+            n = consistency.SCAN_N if args.scan_n is None else args.scan_n
             record = consistency.solve_from_scan(
                 args.family, params, mu_range=args.mu_range,
-                eps_range=args.eps_range, n=args.scan_n, tol=tol)
+                eps_range=args.eps_range, n=n, tol=tol)
         else:
-            if args.seed_mu is None or args.seed_epsilon is None:
-                raise ConfigurationError(
-                    f"family {args.family} needs --seed-mu and "
-                    "--seed-epsilon, or --scan")
             solver = (consistency.solve_family_II if args.family == "II"
                       else consistency.solve_family_III)
             record = solver(params, (args.seed_mu, args.seed_epsilon), tol=tol)
@@ -154,18 +158,15 @@ def cmd_evolve(args) -> dict:
 
 
 def cmd_wigner(args) -> dict:
+    _check_mode(args, "a --solution transform" if args.solution is not None
+                else "a transform without --solution")
     if args.solution is not None:
-        if args.kind is not None or args.beta is not None or args.delta is not None:
-            raise ConfigurationError(
-                "--solution and inline --beta/--delta/--kind are exclusive")
         record, grid = _record_and_grid(args)
+        component = args.component or "atomic"
 
         def profile(x):
-            return ansatz.component_profile(record, args.component, x)
+            return ansatz.component_profile(record, component, x)
     else:
-        if args.kind is None or args.beta is None or args.delta is None:
-            raise ConfigurationError(
-                "need --solution, or all of --beta, --delta, --kind")
         kind, beta, delta = args.kind, args.beta, args.delta
         require_finite(beta=beta, delta=delta)
         if not beta > 0.0:
@@ -205,23 +206,19 @@ def cmd_wigner(args) -> dict:
 
 
 def cmd_scan(args) -> None:
+    _check_mode(args, "a scan at one --mu" if args.mu is not None
+                else "a --mu-min/--mu-max scan")
     require_finite(g_a=args.g_a, g_am=args.g_am, alpha=args.alpha, mu=args.mu,
                    mu_min=args.mu_min, mu_max=args.mu_max, tol=args.tol)
     if args.mu is not None:
-        # --count is left out, as its default (20) cannot be told from unset
-        for name in ("mu_min", "mu_max"):
-            if getattr(args, name) is not None:
-                raise ConfigurationError("a scan at one --mu does not read "
-                                         f"--{name.replace('_', '-')}")
         mus = [args.mu]
     else:
-        if args.mu_min is None or args.mu_max is None:
-            raise ConfigurationError("need --mu, or --mu-min and --mu-max")
+        count = 20 if args.count is None else args.count
         if not args.mu_min < args.mu_max:
             raise ConfigurationError("--mu-min must be below --mu-max")
-        if args.count < 1:
+        if count < 1:
             raise ConfigurationError("--count must be >= 1")
-        mus = list(np.linspace(args.mu_min, args.mu_max, args.count))
+        mus = list(np.linspace(args.mu_min, args.mu_max, count))
     mu0 = ansatz.mu_critical(CouplingParams(args.g_a, None, args.g_am,
                                             args.alpha))
     rows = []
@@ -285,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI"))
     p.add_argument("--eps-range", type=float, nargs=2, default=None,
                    metavar=("LO", "HI"))
-    p.add_argument("--scan-n", type=int, default=200)
+    p.add_argument("--scan-n", type=int, default=None)
     p.add_argument("--out", default="solution.json")
     p.set_defaults(func=cmd_solve)
 
@@ -319,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner", help="Wigner distribution and metrics")
     p.add_argument("--solution", default=None)
     p.add_argument("--component", choices=["atomic", "molecular"],
-                   default="atomic")
+                   default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--kind", choices=list(ansatz.SUPERPOSED_KINDS),
@@ -335,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None, help="single mu value")
     p.add_argument("--mu-min", type=float, default=None)
     p.add_argument("--mu-max", type=float, default=None)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=int, default=None)
     p.add_argument("--grid-n", type=int, default=2048)
     p.add_argument("--out", default="scan.csv")
     p.set_defaults(func=cmd_scan)

@@ -24,8 +24,10 @@ from .errors import (ConfigurationError, ConvergenceError,
                      OutOfScopeRegimeError, OutOfScopeRootError,
                      SingularParameterError)
 
-#: the normalized-residual bound every solver gates on; the CLI's --tol default
+#: the normalized-residual bound every solver gates on, and the points per
+#: axis of the (mu, epsilon) seed scan: the CLI's --tol and --scan-n defaults
 DEFAULT_TOL = 1e-9
+SCAN_N = 200
 
 #: default Newton seed-scan boxes, (mu, epsilon) ranges in units of alpha^2
 SCAN_BOX_II = ((-10.0, -0.01), (-10.0, -0.01))
@@ -577,7 +579,7 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
 
 
 def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
-                   n: int = 200) -> list:
+                   n: int = SCAN_N) -> list:
     """Lattice-scan the two conditions for sign-change cells.
 
     Returns the (mu, epsilon) seeds of every sign-change cell, ordered by
@@ -600,7 +602,7 @@ def default_scan_ranges(family: str, alpha: float):
 
 
 def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
-                    eps_range=None, n: int = 200,
+                    eps_range=None, n: int = SCAN_N,
                     tol: float = DEFAULT_TOL) -> SolutionRecord:
     """Scan for seeds, then try Newton from each candidate until one passes.
 

@@ -906,6 +906,114 @@ class TestScan:
             assert math.isnan(row[1])
 
 
+#: one valid argv per mode of `solve`, `scan` and `wigner`, with only the
+#: flags the mode needs; SOLUTION stands for a family I record
+MODE_ARGVS = {
+    "family I": ["solve", "--family", "I", *FIG1, "--beta", "1"],
+    "a family II/III solve without --scan": ["solve", *CAT2_SEEDED],
+    "a --scan solve": ["solve", "--family", "II", *CAT2, "--scan"],
+    "a scan at one --mu": ["scan", *FIG1, "--mu", "-1", "--grid-n", "256"],
+    "a --mu-min/--mu-max scan": ["scan", *FIG1, "--mu-min", "-8",
+                                 "--mu-max", "-1", "--grid-n", "256"],
+    "a --solution transform": ["wigner", "--solution", "SOLUTION",
+                               "--grid-n", "64"],
+    "a transform without --solution": ["wigner", "--beta", "1", "--delta",
+                                       "3", "--kind", "bright_even",
+                                       "--grid-n", "64"],
+}
+
+#: the words that follow each flag the modes name
+MODE_FLAG_VALUES = {
+    "--beta": ["1"], "--g-m": ["1"], "--seed-mu": ["-0.1"],
+    "--seed-epsilon": ["-0.44"], "--scan": [], "--mu-range": ["-1", "-0.5"],
+    "--eps-range": ["-1", "-0.5"], "--scan-n": ["8"], "--mu": ["-1"],
+    "--mu-min": ["-8"], "--mu-max": ["-1"], "--count": ["3"],
+    "--solution": ["SOLUTION"], "--component": ["molecular"],
+    "--delta": ["3"], "--kind": ["bright_even"],
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _mode_flags(mode):
+    needs, takes = cli._MODES[mode]
+    return [_flag(name) for name in (*needs, *takes)]
+
+
+def _foreign_flags(mode):
+    """The flags only the other modes of `mode`'s command read."""
+    command = MODE_ARGVS[mode][0]
+    return [flag for other, argv in MODE_ARGVS.items()
+            if other != mode and argv[0] == command
+            for flag in _mode_flags(other) if flag not in _mode_flags(mode)]
+
+
+class TestModeFlags:
+    """One rule for solve, scan and wigner: a set flag the mode does not
+    read, or an unset flag it needs, exits 3 with one `error:` line."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["wigner", "--beta", "1", "--delta", "6.219", "--kind",
+          "bright_even", "--component", "molecular", "--grid-n", "64"],
+         "--component"),
+        (["scan", *FIG1, "--mu", "-1", "--count", "5"], "--count"),
+        (["solve", *CAT2_SEEDED, "--scan-n", "50"], "--scan-n"),
+        (["solve", "--family", "I", *FIG1, "--beta", "1", "--scan-n", "50"],
+         "--scan-n"),
+    ], ids=["wigner-inline-component", "scan-mu-count", "solve-II-scan-n",
+            "solve-I-scan-n"])
+    def test_flag_with_a_default_is_not_ignored(self, argv, flag, tmp_path,
+                                                capsys):
+        out = tmp_path / "x.out"
+        rc = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert f"does not read {flag}" in err
+        assert not out.exists()
+
+    def test_every_mode_has_an_argv(self):
+        assert set(MODE_ARGVS) == set(cli._MODES)
+        assert set(MODE_FLAG_VALUES) == {
+            flag for mode in cli._MODES for flag in _mode_flags(mode)}
+
+    @pytest.mark.parametrize("mode", list(MODE_ARGVS))
+    def test_table(self, mode, rec_path, tmp_path, capsys):
+        out = str(tmp_path / "x.out")
+        argv = [str(rec_path) if a == "SOLUTION" else a
+                for a in MODE_ARGVS[mode]]
+        assert main([*argv, "--out", out]) == 0
+        needs, _ = cli._MODES[mode]
+        for flag in _foreign_flags(mode):
+            words = [str(rec_path) if a == "SOLUTION" else a
+                     for a in MODE_FLAG_VALUES[flag]]
+            capsys.readouterr()
+            rc = main([*argv, flag, *words, "--out", out])
+            err = capsys.readouterr().err
+            _assert_one_error_line(rc, err)
+            assert "does not read" in err, (flag, err)
+        for flag in map(_flag, needs):
+            i = argv.index(flag)
+            dropped = argv[:i] + argv[i + 1 + len(MODE_FLAG_VALUES[flag]):]
+            capsys.readouterr()
+            rc = main([*dropped, "--out", out])
+            err = capsys.readouterr().err
+            _assert_one_error_line(rc, err)
+            assert "needs" in err, (flag, err)
+
+    @pytest.mark.parametrize("mode", list(MODE_ARGVS))
+    def test_absent_flags_parse_unset(self, mode):
+        # the rule tells a flag set from unset by None and False alone, so
+        # no flag the table names may have another default
+        argv = MODE_ARGVS[mode]
+        args = vars(build_parser().parse_args(argv))
+        for flag in MODE_FLAG_VALUES:
+            name = flag[2:].replace("-", "_")
+            if name in args and flag not in argv:
+                assert args[name] is (False if flag == "--scan" else None), flag
+
+
 class TestDeterminism:
     def test_identical_command_identical_bytes(self, rec_path, tmp_path):
         out = tmp_path / "prof.csv"
