@@ -190,8 +190,9 @@ def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
 
 
 def lattice_rows(x_texts, p_texts, W):
-    """The text of each x row of a lattice, one str per row: the lines
-    "<x_i>,<p_j>,<W_ij>\n" for every j, with W_ij as "%.15g" % W_ij.
+    """The text of each x row of a lattice as ASCII bytes, one bytes object
+    per row: the lines "<x_i>,<p_j>,<W_ij>\n" for every j, with W_ij as
+    "%.15g" % W_ij.
 
     x_texts and p_texts are the coordinates as text; W is a float array of
     shape (len(x_texts), len(p_texts)), which `write_lattice_csv` checks
@@ -200,8 +201,9 @@ def lattice_rows(x_texts, p_texts, W):
     double fast path writes the digits it is sure of, and snprintf under the
     C locale writes the rest (near-ties at the 15th digit, inf and NaN).
     Otherwise one `%`
-    call per row from a preformatted p template does, the reference.  Both
-    give the same bytes.
+    call per row from a preformatted p template does, the reference, and
+    the row is encoded.  Both give the same bytes; the C rows are copied
+    out of one reused buffer, so nothing is decoded.
     """
     W = np.ascontiguousarray(W, dtype=float)
     n_p = len(p_texts)
@@ -210,7 +212,7 @@ def lattice_rows(x_texts, p_texts, W):
         # "<x>".join(pieces) is the row "<x>,<p_0>,%.15g\n<x>,<p_1>,..."
         pieces = ["", *(f",{t},%.15g\n" for t in p_texts)]
         for xt, row in zip(x_texts, W):
-            yield xt.join(pieces) % tuple(row.tolist())
+            yield (xt.join(pieces) % tuple(row.tolist())).encode("ascii")
         return
     pieces = [f",{t}," for t in p_texts]
     ptext = "".join(pieces).encode("ascii")
@@ -225,4 +227,4 @@ def lattice_rows(x_texts, p_texts, W):
                             row.ctypes.data, n_p, buf, cap)
         if n < 0:
             raise RuntimeError("a lattice row does not fit its buffer")
-        yield ctypes.string_at(buf, n).decode("ascii")
+        yield ctypes.string_at(buf, n)

@@ -16,7 +16,7 @@ import pathlib
 import sys
 import time
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -284,24 +284,20 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI"))
     p.add_argument("--scan-n", type=int, default=None)
     p.add_argument("--out", default="solution.json")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("profile", parents=[solution],
                        help="sample fields to CSV")
     p.add_argument("--t", type=float, default=0.0, help="sample time")
     p.add_argument("--out", default="profile.csv")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("potential", parents=[solution],
                        help="self-consistent potentials to CSV")
     p.add_argument("--out", default="potential.csv")
-    p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("residual", parents=[solution],
                        help="eigen-equation residual norms")
     p.add_argument("--out", default="residual.csv")
-    p.set_defaults(func=cmd_residual,
-                   norm="relative inf-norm; outer 2.5% of grid points per "
+    p.set_defaults(norm="relative inf-norm; outer 2.5% of grid points per "
                         "side excluded")
 
     p = sub.add_parser("evolve", parents=[solution],
@@ -311,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-every", type=int, default=100)
     p.add_argument("--tol-drift", type=float, default=1e-6)
     p.add_argument("--out", default="evolve.csv")
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("wigner", help="Wigner distribution and metrics")
     p.add_argument("--solution", default=None)
@@ -325,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-count", type=int, default=None,
                    help="momentum points (default: grid size)")
     p.add_argument("--out", default="wigner.csv")
-    p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("scan", parents=[couplings],
                        help="family-I sweep over mu")
@@ -335,9 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--grid-n", type=int, default=2048)
     p.add_argument("--out", default="scan.csv")
-    p.set_defaults(func=cmd_scan)
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads argv with, built once per process; each
+    parse_args call still returns a new namespace."""
+    return build_parser()
 
 
 def _show_warning(show, message, category, *rest):
@@ -358,15 +358,16 @@ def main(argv=None) -> int:
     that fails (a huge --count, --scan-n or --grid-n) exits 3.
     A TruncationWarning prints one `warning:` line; other warnings pass on.
     """
-    args = build_parser().parse_args(argv)
-    params = {k: v for k, v in vars(args).items() if k != "func"}
+    args = _parser().parse_args(argv)
+    params = dict(vars(args))
     inputs = [args.solution] if params.get("solution") is not None else []
     start = time.perf_counter()
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"), \
                 warnings.catch_warnings():
             warnings.showwarning = partial(_show_warning, warnings.showwarning)
-            known = args.func(args) or {}
+            # looked up per call, not bound into the cached parser
+            known = globals()["cmd_" + args.command](args) or {}
         manifest = RunManifest(args.command, params, **{
             "inputs": inputs, "outputs": [args.out], **known})
         manifest.duration_s = time.perf_counter() - start

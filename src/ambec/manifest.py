@@ -6,8 +6,9 @@ and, for `evolve` and `wigner`, the kernel backend; `cli.main` assembles
 the one RunManifest of each run.  Data files themselves are byte-identical
 across reruns; only the manifest's duration field may differ.  Each format
 has one writer: `write_csv` (row by row, so a TypeError can leave a partly
-written file), `write_lattice_csv` (row text from `_kernels.lattice_rows`,
-the C or the Python renderer) and `write_json`.
+written file), `write_lattice_csv` (row bytes from `_kernels.lattice_rows`,
+the C or the Python renderer, written to the file's binary layer) and
+`write_json`.
 """
 from __future__ import annotations
 
@@ -129,9 +130,10 @@ def write_lattice_csv(path: str, header, x, p, W,
 
     Writes the bytes write_csv writes for those rows, with every value in
     "%.15g".  Each p is formatted once and each x once per row, so only
-    the W values are rendered cell by cell, by `_kernels.lattice_rows`.  W
-    must have the shape (len(x), len(p)), else TypeError, raised before the
-    file is opened.
+    the W values are rendered cell by cell, by `_kernels.lattice_rows`,
+    whose row bytes go to the file's binary layer as they are.  W must have
+    the shape (len(x), len(p)), else TypeError, raised before the file is
+    opened.
     """
     W = np.asarray(W, dtype=float)
     if W.shape != (len(x), len(p)):
@@ -140,7 +142,8 @@ def write_lattice_csv(path: str, header, x, p, W,
     x_texts = [format_float(v) for v in np.asarray(x, dtype=float).tolist()]
     p_texts = [format_float(v) for v in np.asarray(p, dtype=float).tolist()]
     with _csv_output(path, header, manifest_path, comments) as f:
-        f.writelines(_kernels.lattice_rows(x_texts, p_texts, W))
+        f.flush()  # the comments and header, before the rows' bytes
+        f.buffer.writelines(_kernels.lattice_rows(x_texts, p_texts, W))
 
 
 @dataclass

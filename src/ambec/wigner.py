@@ -2,7 +2,11 @@
 
 Convention: W(x, p) = (1/pi) Integral psi*(x+y) psi(x-y) e^{2ipy} dy with
 hbar = 1, evaluated per x row by a discrete Fourier transform over y on a
-symmetric window as wide as the grid itself.
+symmetric window as wide as the grid itself.  The kernel psi*(x+y) psi(x-y)
+is sampled on the grid's own lattice (Hillery, O'Connell, Scully and
+Wigner, Phys. Rep. 106, 121 (1984)): the profile is called once per point
+of one y-spaced lattice per class of rows, and each row's W is the
+half-spectrum inverse real FFT of its kernel.
 """
 from __future__ import annotations
 
@@ -59,45 +63,53 @@ def _boundary_check(values: np.ndarray, edges: np.ndarray) -> None:
 def wigner_transform(profile, grid: Grid, p_count: int | None = None) -> WignerGrid:
     """Wigner distribution of a 1D profile on a periodic grid of any n.
 
-    profile is a callable psi(x), evaluated exactly at every x +/- y the
-    transform needs, so nothing wraps around the window edge.  The y window
-    spans the full grid with p_count points (default: the grid's n), which
-    must be even and at least 8; the p lattice is the conjugate of the y
-    sampling.  A sum of W that overflows (a grid near the top of the float
-    range) raises ConfigurationError.
+    profile is a callable psi(x), evaluated at every x +/- y the transform
+    needs, so nothing wraps around the window edge.  The y window spans the
+    full grid with p_count = m points (default: the grid's n), which must be
+    even and at least 8, spaced dy; the p lattice is the conjugate of the y
+    sampling.  With g = gcd(n, m), the rows fall into n/g classes of g rows
+    each, and every x +/- y of a class lies on one dy-spaced lattice, where
+    the profile is called once per point: 2n points in all when m = n, at
+    most n (m + 1) for any m.  Since C(x, -y) = conj C(x, y), each row's
+    kernel is formed for y >= 0 only and W comes from an irfft.  Rows are
+    transformed in chunks of about _CHUNK_VALUES values, so memory stays
+    bounded for a long p axis.  A sum of W that overflows (a grid near the
+    top of the float range) raises ConfigurationError.
     """
     n = grid.n
     m = n if p_count is None else int(p_count)
     if m < 8 or m % 2:
         raise ConfigurationError(f"p_count must be even and >= 8, got {m}")
     x = grid.x()
-    span = grid.x_max - grid.x_min
-    dy = span / m
+    dy = (grid.x_max - grid.x_min) / m
     h = m // 2
-    y = (np.arange(m) - h) * dy
     edges = np.array([grid.x_min, grid.x_max])
 
     psi = np.asarray(profile(x), dtype=complex)
     _boundary_check(psi, np.asarray(profile(edges), dtype=complex))
 
-    def correlation(rows):
-        xp = x[rows, None] + y[None, :]
-        xm = x[rows, None] - y[None, :]
-        return np.conj(np.asarray(profile(xp), dtype=complex)) \
-            * np.asarray(profile(xm), dtype=complex)
-
-    alt = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    sign = np.where((np.arange(m) + h) % 2 == 0, 1.0, -1.0)
+    # class c < b holds rows c + s b at x_c + s a dy; f is psi at x_c + q dy
+    g = math.gcd(n, m)
+    a, b = m // g, n // g
+    q = np.arange(-h, (g - 1) * a + h + 1)
+    k = np.arange(h + 1)
+    # dy/pi weighs the sum over y; (-1)^k puts p = 0 at column h
+    scale = (dy / math.pi) * np.where(k % 2 == 0, 1.0, -1.0)
     W = np.empty((n, m))
-    chunk = max(1, _CHUNK_VALUES // m)
-    for start in range(0, n, chunk):
-        rows = np.arange(start, min(start + chunk, n))
-        C = correlation(rows)
-        S = sign * (m * np.fft.ifft(C * alt, axis=1))
-        W[rows] = (dy / math.pi) * np.real(S)
+    per = max(1, _CHUNK_VALUES // m)  # rows per chunk
+    step = max(1, per // g)  # classes per chunk
+    for c0 in range(0, b, step):
+        cls = np.arange(c0, min(c0 + step, b))
+        f = np.asarray(profile(x[cls, None] + q * dy), dtype=complex)
+        for s0 in range(0, g, per):
+            s = np.arange(s0, min(s0 + per, g))
+            t = (s * a + h)[:, None]  # the index of x_i in f
+            # C(x_i, k dy) for k = 0..h; irfft takes C(x, -y) = conj C(x, y)
+            C = np.conj(f[:, t + k]) * f[:, t - k] * scale
+            W[cls[:, None] + s * b] = np.fft.irfft(C, m, norm="forward")
 
-    p = (np.arange(m) - h) * (math.pi / (m * dy))
     dp = math.pi / (m * dy)
+    p = (np.arange(m) - h) * dp
     try:
         with np.errstate(over="raise"):
             norm = float(np.sum(W)) * grid.dx * dp

@@ -1047,6 +1047,30 @@ class TestManifestPlumbing:
         assert back == man
 
 
+class TestParserOnce:
+    def test_runs_in_one_process_share_no_state(self, tmp_path):
+        cli._parser.cache_clear()
+        inline = ["wigner", "--beta", "1", "--delta", "3",
+                  "--kind", "bright_even"]
+        assert main([*inline, "--grid-n", "63", "--p-count", "300",
+                     "--out", str(tmp_path / "a.csv")]) == 0
+        assert main([*inline, "--grid-n", "64",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert cli._parser.cache_info().misses == 1
+        first = RunManifest.read(str(tmp_path / "a.manifest.json"))
+        second = RunManifest.read(str(tmp_path / "b.manifest.json"))
+        assert first.parameters["p_count"] == 300
+        assert second.parameters["p_count"] is None
+        assert second.parameters["grid_n"] == 64
+        assert len(read_csv(str(tmp_path / "b.csv")).rows) == 64 * 64
+        argv = [*inline, "--grid-n", "64"]
+        assert cli._parser().parse_args(argv) is not cli._parser().parse_args(
+            argv)
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()
+
+
 #: one small invocation per command; SOLUTION stands for a family I record
 SMALL_RUNS = {
     "solve": ["solve", "--family", "I", *FIG1, "--beta", "1"],

@@ -1,8 +1,11 @@
 """Phase-space transform against closed-form and frozen oracle values."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambec.ansatz import rational_profile, superposed_profile
 from ambec.core import Grid
@@ -15,9 +18,47 @@ def _gaussian(x):
     return math.pi ** -0.25 * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
 
 
-def _cat_window(beta, delta):
+def _cat_window(beta, delta, n=1024):
     L = delta / beta + 32.0 / beta
-    return Grid(-L, L, 1024)
+    return Grid(-L, L, n)
+
+
+def _cat(x):
+    return superposed_profile("bright_even", 1.0, 6.219, x)
+
+
+def _family_III(x):
+    return rational_profile("III", 1.0, 3.0, 1.0, x)
+
+
+def reference_wigner(profile, grid, p_count=None):
+    """(W, norm) by the direct sum: C(x_i, y_j) from the profile at every
+    x_i + y_j and x_i - y_j, one full complex ifft per row."""
+    n = grid.n
+    m = n if p_count is None else p_count
+    x = grid.x()
+    dy = (grid.x_max - grid.x_min) / m
+    h = m // 2
+    y = (np.arange(m) - h) * dy
+    C = (np.conj(np.asarray(profile(x[:, None] + y), dtype=complex))
+         * np.asarray(profile(x[:, None] - y), dtype=complex))
+    alt = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    sign = np.where((np.arange(m) + h) % 2 == 0, 1.0, -1.0)
+    W = (dy / math.pi) * np.real(sign * (m * np.fft.ifft(C * alt, axis=1)))
+    return W, float(np.sum(W)) * grid.dx * math.pi / (m * dy)
+
+
+def _moving_gaussian(x):
+    return _gaussian(x) * np.exp(0.7j * np.asarray(x, dtype=float))
+
+
+#: each oracle profile with a window it has decayed in; the Gaussian moves,
+#: so its kernel is complex
+PROFILES = {
+    "gaussian": (_moving_gaussian, 12.0),
+    "bright_even": (_cat, 6.219 + 32.0),
+    "family_III": (_family_III, 40.0),
+}
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +69,7 @@ def gauss_w():
 @pytest.fixture(scope="module")
 def even_cat_w():
     g = _cat_window(1.0, 6.219)
-    return wigner_transform(
-        lambda x: superposed_profile("bright_even", 1.0, 6.219, x), g)
+    return wigner_transform(_cat, g)
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +203,49 @@ class TestInputHandling:
                            W=np.zeros_like(gauss_w.W), norm=0.0)
         with pytest.raises(ConfigurationError):
             phase_space_metrics(blank)
+
+
+class TestLatticeTransform:
+    """The transform evaluates the profile on one dy-lattice per row class
+    and takes W from a half-spectrum irfft; the direct sum is its oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(name=st.sampled_from(sorted(PROFILES)), n=st.integers(8, 96),
+           h=st.integers(4, 128))
+    def test_matches_direct_sum(self, name, n, h):
+        profile, L = PROFILES[name]
+        grid = Grid(-L, L, n)
+        w = wigner_transform(profile, grid, p_count=2 * h)
+        W, norm = reference_wigner(profile, grid, 2 * h)
+        scale = float(np.max(np.abs(W)))
+        assert np.max(np.abs(w.W - W)) <= 1e-13 * scale
+        assert w.norm == pytest.approx(norm, rel=1e-13)
+
+    @pytest.mark.parametrize("n, p_count", [
+        (8, None), (64, None), (512, None), (63, 64), (63, 8), (97, 10),
+        (96, 256), (512, 300), (512, 4094), (512, 4096)])
+    def test_profile_evaluation_count(self, n, p_count):
+        asked = []
+
+        def counted(x):
+            asked.append(np.size(x))
+            return _cat(x)
+
+        wigner_transform(counted, _cat_window(1.0, 6.219, n), p_count)
+        m = n if p_count is None else p_count
+        assert sum(asked) <= n * m + 2 * n + 2
+        if m == n:
+            assert sum(asked) <= 3 * n + 2
+
+    @pytest.mark.parametrize("p_count", [4094, 4096])
+    def test_peak_memory_of_a_long_p_axis(self, p_count):
+        # the direct sum over chunks of rows (reference_wigner, chunked)
+        # peaked at 48.33 MB at both p_counts; W itself is 16.8 MB of that
+        grid = _cat_window(1.0, 6.219, 512)
+        tracemalloc.start()
+        try:
+            wigner_transform(_cat, grid, p_count=p_count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48.3e6
