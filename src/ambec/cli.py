@@ -23,7 +23,8 @@ import numpy as np
 from . import ansatz, consistency, dynamics, potentials, wigner
 from .core import (CouplingParams, Diagnostics, Grid, SolutionRecord,
                    require_finite)
-from .errors import AmbecError, ConfigurationError, TruncationWarning
+from .errors import (AmbecError, ConfigurationError, NoDropletError,
+                     OutOfScopeRegimeError, TruncationWarning)
 from .manifest import (RunManifest, format_float, open_output, write_csv,
                        write_json, write_lattice_csv)
 
@@ -219,19 +220,20 @@ def cmd_scan(args) -> None:
         if count < 1:
             raise ConfigurationError("--count must be >= 1")
         mus = list(np.linspace(args.mu_min, args.mu_max, count))
-    mu0 = ansatz.mu_critical(CouplingParams(args.g_a, None, args.g_am,
-                                            args.alpha))
     rows = []
     nan = float("nan")
     for mu in mus:
-        if not mu0 < mu < 0.0:
+        try:  # only the family I solver decides which mu hold a droplet
+            if not mu < 0.0:
+                raise NoDropletError(f"mu = {mu:g} is not negative")
+            record = consistency.solve_family_I(
+                args.g_a, args.g_am, args.alpha, math.sqrt(-mu / 2.0),
+                tol=args.tol)
+        except (NoDropletError, OutOfScopeRegimeError):
             rows.append((mu, nan, nan, nan, nan, nan, "unattainable"))
             continue
-        beta = math.sqrt(-mu / 2.0)
-        record = consistency.solve_family_I(args.g_a, args.g_am, args.alpha,
-                                            beta, tol=args.tol)
-        grid = dynamics.default_grid(beta, args.grid_n)
-        peak = (record.A / (record.B + 1.0)) ** 2
+        grid = dynamics.default_grid(record.beta, args.grid_n)
+        peak = ansatz.component_profile(record, "atomic", 0.0) ** 2
         rows.append((mu, peak, ansatz.half_width_99(record),
                      potentials.flatness_metric(record, grid),
                      record.B, record.A, "ok"))

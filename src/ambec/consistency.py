@@ -169,13 +169,12 @@ def _conditions(family: str, params: CouplingParams, mu, eps):
 def _newton2(parts, v0) -> np.ndarray:
     """Damped 2-D Newton with a central finite-difference Jacobian.
 
-    parts(v) returns (raw residual 1, raw residual 2, scale 1, scale 2).
-    It is called with one point v of shape (2,) and with stacks of shape
-    (2, k), one point per column, and must then return four arrays of
-    shape (k,) whose column c equals parts(v[:, c]) bit for bit (true of
-    any elementwise formula).  Each iteration makes two such calls: the
-    four finite-difference points, and every damping level of the line
-    search at once.
+    parts(V) maps a stack V of shape (2, k), one (mu, epsilon) point per
+    column, to four arrays of shape (k,): raw residuals 1 and 2 and their
+    scales.  Column c must equal parts(V[:, c:c + 1]) bit for bit (true of
+    any elementwise formula).  The seed is a one-column stack; each
+    iteration makes two more calls: the four finite-difference points,
+    and every damping level of the line search at once.
 
     Steps and the line search use the raw residuals under fixed row
     weights from the seed, so the merit keeps its polynomial growth away
@@ -188,26 +187,24 @@ def _newton2(parts, v0) -> np.ndarray:
     leash on |v| bound that behavior.  A few extra polishing steps after
     convergence push the root to machine precision.
     """
-    def combine(v):
-        r = parts(v)
+    def combine(V):
+        r = parts(V)
         return np.array(r[:2], dtype=float), np.array(r[2:], dtype=float)
 
     v = np.array(v0, dtype=float)
     limit = _LEASH * max(1.0, float(np.max(np.abs(v))))
-    raw, scale = combine(v)
+    raw, scale = (a[:, 0] for a in combine(v[:, None]))
     weights = np.where(np.isfinite(scale), 1.0 / (1.0 + scale), 1.0)
     # lam = 1, 1/2, 1/4, ...: the damping levels of the line search
     lams = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))
 
-    def merit(r):
-        x = np.abs(weights * r)
-        return float(np.max(x)) if np.all(np.isfinite(x)) else math.inf
-
     def merits(R):
         """merit of each column of R; inf where any entry is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = np.abs(weights[:, None] * R)
+        x = np.abs(weights[:, None] * R)
         return np.where(np.isfinite(x).all(axis=0), x.max(axis=0), math.inf)
+
+    def merit(r):
+        return float(merits(r[:, None])[0])
 
     def converged(r, s):
         return bool(np.all(np.isfinite(r)) and np.all(np.isfinite(s))

@@ -8,16 +8,19 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambec import cli
-from ambec.ansatz import SUPERPOSED_KINDS
+from ambec.ansatz import SUPERPOSED_KINDS, mu_critical
 from ambec.cli import build_parser, main
-from ambec.core import RECORD_KEYS, SolutionRecord
+from ambec.consistency import solve_family_I
+from ambec.core import RECORD_KEYS, CouplingParams, SolutionRecord
 from ambec.dynamics import kernel_backend
-from ambec.errors import TruncationWarning
+from ambec.errors import (NoDropletError, OutOfScopeRegimeError,
+                          TruncationWarning)
 from ambec.manifest import TOOL_VERSION, RunManifest, read_csv, write_csv
 from ambec.wigner import CONVENTION
 
@@ -859,9 +862,27 @@ class TestOutOfMemory:
         assert err.startswith("error: out of memory: ")
 
 
+def _family_I_solves(g_a, g_am, alpha, mu):
+    """Whether solve_family_I returns a record at the beta scan uses for mu."""
+    try:
+        solve_family_I(g_a, g_am, alpha, math.sqrt(-mu / 2.0))
+    except (NoDropletError, OutOfScopeRegimeError):
+        return False
+    return True
+
+
+def _couplings(g_a, g_am, alpha):
+    return [f"--g-a={g_a!r}", f"--g-am={g_am!r}", f"--alpha={alpha!r}"]
+
+
+@pytest.fixture(scope="module")
+def scan_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("scan") / "scan.csv"
+
+
 class TestScan:
     def test_python_float_overflow(self, tmp_path, capsys):
-        # alpha ** 2 in mu_critical raises OverflowError, not numpy's error
+        # alpha * alpha overflows to inf, which the family I solve rejects
         rc = main(["scan", "--g-a", "3", "--g-am", "-2.8",
                    "--alpha", "1.3407807929942597e+154", "--mu", "-1",
                    "--out", str(tmp_path / "scan.csv")])
@@ -904,6 +925,86 @@ class TestScan:
         for row in data.rows:
             assert row[-1] == "unattainable"
             assert math.isnan(row[1])
+
+    @pytest.mark.parametrize("couplings", [(3.0, -2.8, 2.0), (5.0, -4.9, 0.3)],
+                             ids=["readme", "31-ulp-band"])
+    def test_rows_just_above_mu_critical(self, couplings, scan_out):
+        # solve_family_I refuses mu a few ulps above mu_critical; each row
+        # takes its status from the solver, and the scan still exits 0
+        mu = mu_critical(CouplingParams(couplings[0], None, *couplings[1:]))
+        statuses = []
+        for _ in range(40):
+            mu = math.nextafter(mu, 0.0)
+            assert main(["scan", *_couplings(*couplings), f"--mu={mu!r}",
+                         "--grid-n", "256", "--out", str(scan_out)]) == 0
+            (row,) = read_csv(str(scan_out)).rows
+            statuses.append(row[-1])
+            assert (row[-1] == "ok") == _family_I_solves(*couplings, mu)
+        assert statuses[0] == "unattainable" and statuses[-1] == "ok"
+
+    def test_mu_at_the_solvers_beta_max(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        rc = main(["scan", *FIG1, "--mu=-8.888888888888879",
+                   "--out", str(out)])
+        assert rc == 0
+        (row,) = read_csv(str(out)).rows
+        assert row[-1] == "unattainable"
+        rc = main(["scan", *FIG1, "--mu-min=-8.888888888888879",
+                   "--mu-max", "-1", "--count", "20", "--out", str(out)])
+        assert rc == 0
+        statuses = [row[-1] for row in read_csv(str(out)).rows]
+        assert statuses == ["unattainable"] + ["ok"] * 19
+
+    @pytest.mark.parametrize("flags, rc, message", [
+        (["--g-a", "3", "--g-am", "-2.8", "--alpha", "0", "--mu", "-1"], 3,
+         "family I needs alpha != 0"),
+        (["--g-a", "3", "--g-am", "-3", "--alpha", "2", "--mu", "-1"], 3,
+         "g_a + g_am = 0 makes the critical chemical potential singular"),
+        (["--g-a", "3", "--g-am", "-3", "--alpha", "2", "--mu-min", "0",
+          "--mu-max", "1", "--count", "3"], 0, None),
+        (["--g-a", "1", "--g-am", "-2", "--alpha", "2", "--mu", "-2"], 0,
+         None),
+        (["--g-a", "3", "--g-am", "-2.8", "--alpha=1.3407807929942597e+154",
+          "--mu", "1"], 0, None),
+        (["--g-a", "3", "--g-am", "-2.8", "--alpha", "2", "--mu=-1e308"], 3,
+         "is too large: 9 beta^2 overflows"),
+    ], ids=["alpha-zero", "singular-sum", "singular-sum-mu-nonnegative",
+            "negative-sum", "alpha-overflow-mu-positive", "beta-overflow"])
+    def test_the_family_I_solver_decides(self, flags, rc, message, tmp_path,
+                                         capsys):
+        # rows at mu >= 0 solve nothing; a row at mu < 0 exits as
+        # `solve --family I` does at its beta, unless it is out of the window
+        out = tmp_path / "scan.csv"
+        assert main(["scan", *flags, "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            _assert_one_error_line(rc, err)
+            assert message in err
+            assert not out.exists()
+        else:
+            assert {row[-1] for row in read_csv(str(out)).rows} == {
+                "unattainable"}
+
+    # g_a + g_am > 0 and alpha != 0, so a family I droplet window exists;
+    # |mu0| <= 40.  Rows below about mu = -600 exit 3 on the default grid,
+    # whose half-width stops shrinking at 20 while the profile underflows
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(total=st.floats(0.1, 10.0), g_a=st.floats(-10.0, 10.0),
+           alpha=st.floats(0.05, 3.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_status_is_the_solvers_verdict(self, scan_out, total, g_a, alpha,
+                                           sign):
+        couplings = (g_a, total - g_a, sign * alpha)
+        mu0 = mu_critical(CouplingParams(couplings[0], None, *couplings[1:]))
+        for lo, hi, count in ((mu0 * (1 + 1e-14), mu0 * (1 - 1e-14), 5),
+                              (0.9 * mu0, 0.1 * mu0, 3)):
+            assert main(["scan", *_couplings(*couplings), f"--mu-min={lo!r}",
+                         f"--mu-max={hi!r}", f"--count={count}",
+                         "--out", str(scan_out)]) == 0
+            statuses = [row[-1] for row in read_csv(str(scan_out)).rows]
+            assert statuses == [
+                "ok" if _family_I_solves(*couplings, mu) else "unattainable"
+                for mu in np.linspace(lo, hi, count)]
+        assert statuses == ["ok"] * 3
 
 
 #: one valid argv per mode of `solve`, `scan` and `wigner`, with only the

@@ -158,6 +158,20 @@ class TestBatchedNewton:
         assert isinstance(got, list)
         assert got == _outcome(reference_newton2, parts, root)
 
+    @pytest.mark.parametrize("index", range(len(ROOTS)))
+    def test_parts_sees_only_two_row_stacks(self, index):
+        family, params, (mu, eps) = ROOTS[index]
+        args = []
+
+        def parts(v):
+            args.append(np.array(v))
+            return _condition_parts(family, params, v[0], v[1])
+
+        _outcome(_newton2, parts, (mu * 1.5, eps * 0.5))
+        assert args[0].shape == (2, 1)
+        assert all(a.ndim == 2 and a.shape[0] == 2 for a in args), [
+            a.shape for a in args]
+
     def test_stack_is_evaluated_column_by_column(self):
         family, params, (mu, eps) = ROOTS[3]
         V = np.array([[mu, mu * 1.5, mu * 0.5], [eps, -eps, 3.0 * eps]])
