@@ -245,7 +245,7 @@ def cmd_scan(args) -> None:
     print(f"scan: {ok}/{len(rows)} attainable rows -> {args.out}")
 
 
-def _add_grid_flags(p, n_default=2048):
+def _add_grid_flags(p, n_default=dynamics.GRID_N):
     p.add_argument("--grid-l", type=float, default=None,
                    help="grid half-width (default: wide enough for the record)")
     p.add_argument("--grid-n", type=int, default=n_default,
@@ -306,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="propagate and record diagnostics")
     p.add_argument("--t", type=float, default=10.0, help="total time")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--record-every", type=int, default=100)
-    p.add_argument("--tol-drift", type=float, default=1e-6)
+    config = dynamics.PropagatorConfig  # the class holds the defaults
+    p.add_argument("--record-every", type=int, default=config.record_every)
+    p.add_argument("--tol-drift", type=float, default=config.tol_drift)
     p.add_argument("--out", default="evolve.csv")
 
     p = sub.add_parser("wigner", help="Wigner distribution and metrics")
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-min", type=float, default=None)
     p.add_argument("--mu-max", type=float, default=None)
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--grid-n", type=int, default=2048)
+    p.add_argument("--grid-n", type=int, default=dynamics.GRID_N)
     p.add_argument("--out", default="scan.csv")
 
     return parser

@@ -34,6 +34,9 @@ INSTABILITY_FACTOR = 100.0
 #: largest step count T/|dt| a run may ask for (hours at n = 2048)
 MAX_STEPS = 1e9
 
+#: points of a default grid: the CLI's --grid-n default but for wigner
+GRID_N = 2048
+
 
 def make_grid(L: float, n: int) -> Grid:
     """Uniform periodic grid on [-L, L) with n points."""
@@ -47,7 +50,7 @@ def default_half_width(beta: float) -> float:
     return max(20.0, 40.0 / beta)
 
 
-def default_grid(beta: float, n: int = 2048) -> Grid:
+def default_grid(beta: float, n: int = GRID_N) -> Grid:
     """Grid wide enough that profiles with decay rate beta fit to 1e-12."""
     return make_grid(default_half_width(beta), n)
 

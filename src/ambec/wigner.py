@@ -26,21 +26,15 @@ _CHUNK_VALUES = 1 << 18
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """Dense Wigner values W[i, l] on the x[i] x p[l] lattice."""
+    """Wigner values W[i, l] on the x[i] x p[l] lattice; norm = sum(W) dx dp."""
 
     x: np.ndarray
     p: np.ndarray
     W: np.ndarray
+    dx: float
+    dp: float
     norm: float
     convention: str = CONVENTION
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    @property
-    def dp(self) -> float:
-        return float(self.p[1] - self.p[0])
 
     def marginal_x(self) -> np.ndarray:
         """Integral of W over p; matches |psi(x)|^2."""
@@ -115,7 +109,7 @@ def wigner_transform(profile, grid: Grid, p_count: int | None = None) -> WignerG
             norm = float(np.sum(W)) * grid.dx * dp
     except FloatingPointError as e:
         raise ConfigurationError(f"Wigner norm overflows: {e}") from e
-    return WignerGrid(x=x, p=p, W=W, norm=norm)
+    return WignerGrid(x=x, p=p, W=W, dx=grid.dx, dp=dp, norm=norm)
 
 
 @dataclass(frozen=True)
@@ -143,19 +137,18 @@ def phase_space_metrics(w: WignerGrid) -> PhaseSpaceMetrics:
     squeezing proxy; negative_volume integrates |W| over the W < 0 region;
     w00 is the value at the lattice point nearest the origin.  w_min is the
     minimum of W; (w_min_x, w_min_p) is the first lattice point, in x-major
-    order, whose value lies within 1e-12 max|W| of it.  A norm that is not
-    positive, marginal variances that overflow, or Var(p) = 0 raise
-    ConfigurationError.
+    order, whose value lies within 1e-12 max|W| of it.  Each is found on W
+    itself and divided by the norm.  A norm that is not positive, marginal
+    variances that overflow, or Var(p) = 0 raise ConfigurationError.
     """
-    if not w.norm > 0.0:
-        raise ConfigurationError(f"cannot normalize: norm = {w.norm:g}")
-    W = w.W / w.norm
-    dx, dp = w.dx, w.dp
+    W, dx, dp, norm = w.W, w.dx, w.dp, w.norm
+    if not norm > 0.0:
+        raise ConfigurationError(f"cannot normalize: norm = {norm:g}")
 
     try:
         with np.errstate(over="raise", invalid="raise"):
-            P_x = W.sum(axis=1) * dp
-            P_p = W.sum(axis=0) * dx
+            P_x = w.marginal_x() / norm
+            P_p = w.marginal_p() / norm
             mean_x = float(np.sum(w.x * P_x)) * dx
             mean_p = float(np.sum(w.p * P_p)) * dp
             var_x = float(np.sum((w.x - mean_x) ** 2 * P_x)) * dx
@@ -169,17 +162,19 @@ def phase_space_metrics(w: WignerGrid) -> PhaseSpaceMetrics:
     # W of a symmetric field has mirror-image minima that differ only by
     # rounding; report the first one (x-major) within 1e-12 of the scale of
     # W, so the location does not flip with the last bits of the input
-    w_min = float(np.min(W))
-    near = W <= w_min + 1e-12 * float(np.max(np.abs(W)))
+    lo, hi = np.min(W), np.max(W)
+    near = W <= lo + 1e-12 * max(hi, -lo)
     i_min, l_min = np.unravel_index(int(np.argmax(near)), W.shape)
-    neg = float(np.sum(np.abs(np.minimum(W, 0.0)))) * dx * dp
+    # the sum of W over W < 0, with no copy of those values
+    neg = abs(np.einsum("il,il->", W, W < 0.0)) * dx * dp
     i0 = int(np.argmin(np.abs(w.x)))
     l0 = int(np.argmin(np.abs(w.p)))
+    # numpy scalars, so a quotient that overflows obeys np.errstate
     return PhaseSpaceMetrics(
         var_x=var_x, var_p=var_p, ratio=var_x / var_p,
-        w_min=w_min, w_min_x=float(w.x[i_min]),
-        w_min_p=float(w.p[l_min]), negative_volume=neg,
-        w00=float(W[i0, l0]))
+        w_min=float(lo / norm), w_min_x=float(w.x[i_min]),
+        w_min_p=float(w.p[l_min]), negative_volume=float(neg / norm),
+        w00=float(W[i0, l0] / norm))
 
 
 def fringe_spacing(w: WignerGrid) -> float:

@@ -243,8 +243,11 @@ class TestSolve:
          "alpha = 1e+300 is too large: 2 alpha^2/(9 beta^2) overflows"),
         (["--g-a=-1.0", "--g-am=-0.0", "--alpha=1e+154", "--beta=4.4e153"],
          "alpha = 1e+154 is too large: 2 alpha^2/(9 beta^2) overflows"),
+        # g_a + g_am is 1e-300 against 2 alpha^2/(9 beta^2) of 2e299
+        (["--g-a", "1e-300", "--g-am", "0", "--alpha", "1e150",
+          "--beta", "1"], "(beta/beta_max)^2 underflows to 0"),
     ], ids=["c-underflow", "inf-minus-inf", "c-overflow",
-            "c-overflow-large-beta"])
+            "c-overflow-large-beta", "x-underflow"])
     def test_family_I_extreme_couplings(self, flags, message, tmp_path,
                                         capsys):
         rc = main(["solve", "--family", "I", *flags,
@@ -260,6 +263,16 @@ class TestSolve:
                    "--seed-mu", "-1", "--seed-epsilon", "-5",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+    def test_negative_alpha_root_out_of_scope(self, tmp_path, capsys):
+        # the sign tables are oriented for alpha > 0; the module says to
+        # solve with |alpha| and flip D for the other branch
+        rc = main(["solve", "--family", "II", *CAT2[:-2], "--alpha=-1",
+                   "--seed-mu", "-0.1", "--seed-epsilon", "-0.44",
+                   "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("error:") == 1 and "must have opposite signs" in err
 
 
 class TestTableCommands:
@@ -968,12 +981,16 @@ class TestScan:
           "--mu", "1"], 0, None),
         (["--g-a", "3", "--g-am", "-2.8", "--alpha", "2", "--mu=-1e308"], 3,
          "is too large: 9 beta^2 overflows"),
+        ([*FIG1, "--mu-min", "-8", "--mu-max", "-1", "--count", "0"], 3,
+         "--count must be >= 1"),
     ], ids=["alpha-zero", "singular-sum", "singular-sum-mu-nonnegative",
-            "negative-sum", "alpha-overflow-mu-positive", "beta-overflow"])
+            "negative-sum", "alpha-overflow-mu-positive", "beta-overflow",
+            "count-zero"])
     def test_the_family_I_solver_decides(self, flags, rc, message, tmp_path,
                                          capsys):
         # rows at mu >= 0 solve nothing; a row at mu < 0 exits as
-        # `solve --family I` does at its beta, unless it is out of the window
+        # `solve --family I` does at its beta, unless it is out of the window;
+        # a sweep with no rows exits before any solve
         out = tmp_path / "scan.csv"
         assert main(["scan", *flags, "--out", str(out)]) == rc
         err = capsys.readouterr().err

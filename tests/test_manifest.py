@@ -150,6 +150,15 @@ class TestWriteCsv:
         with pytest.raises(TypeError):
             write_csv(str(csv_path), ["a", "b"], rows)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3\n", "a row has 1 cells, the first has 2"),
+        ("# comment only\n", "has no header line"),
+    ], ids=["ragged-row", "no-header"])
+    def test_read_csv_malformed_raises(self, csv_path, text, message):
+        csv_path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_csv(str(csv_path))
+
 
 class TestWriteJson:
     def test_layout(self, tmp_path):

@@ -72,6 +72,13 @@ class TestPotentialShapes:
         pair = self_consistent_potentials(fam1_record, grid)
         assert well_shape(pair.V_m, grid, fam1_record.beta).kind == "harmonic"
 
+    def test_mild_quartic_well_is_intermediate(self):
+        # flatness 0.032, between the harmonic and box thresholds
+        grid = Grid(-5.0, 5.0, 512)
+        x = grid.x()
+        assert well_shape(x ** 2 + 0.1 * x ** 4, grid, 1.0).kind == (
+            "intermediate")
+
     def test_near_critical_droplet_is_box(self):
         mu = -80.0 / 9.0 * 0.93
         rec = solve_family_I(3.0, -2.8, 2.0, math.sqrt(-mu / 2.0))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambec.ansatz import rational_profile, superposed_profile
+from ambec.ansatz import SUPERPOSED_KINDS, rational_profile, superposed_profile
 from ambec.core import Grid
 from ambec.errors import ConfigurationError, TruncationError
 from ambec.wigner import (CONVENTION, WignerGrid, fringe_spacing,
@@ -46,6 +46,31 @@ def reference_wigner(profile, grid, p_count=None):
     sign = np.where((np.arange(m) + h) % 2 == 0, 1.0, -1.0)
     W = (dy / math.pi) * np.real(sign * (m * np.fft.ifft(C * alt, axis=1)))
     return W, float(np.sum(W)) * grid.dx * math.pi / (m * dy)
+
+
+def reference_metrics(w):
+    """The metrics as a dict, on a normalized copy of W, with spacings
+    taken as differences of the coordinate arrays."""
+    if not w.norm > 0.0:
+        raise ConfigurationError(f"cannot normalize: norm = {w.norm:g}")
+    W = w.W / w.norm
+    dx, dp = float(w.x[1] - w.x[0]), float(w.p[1] - w.p[0])
+    P_x = W.sum(axis=1) * dp
+    P_p = W.sum(axis=0) * dx
+    mean_x = float(np.sum(w.x * P_x)) * dx
+    mean_p = float(np.sum(w.p * P_p)) * dp
+    var_x = float(np.sum((w.x - mean_x) ** 2 * P_x)) * dx
+    var_p = float(np.sum((w.p - mean_p) ** 2 * P_p)) * dp
+    w_min = float(np.min(W))
+    near = W <= w_min + 1e-12 * float(np.max(np.abs(W)))
+    i_min, l_min = np.unravel_index(int(np.argmax(near)), W.shape)
+    neg = float(np.sum(np.abs(np.minimum(W, 0.0)))) * dx * dp
+    i0 = int(np.argmin(np.abs(w.x)))
+    l0 = int(np.argmin(np.abs(w.p)))
+    return dict(var_x=var_x, var_p=var_p, ratio=var_x / var_p, w_min=w_min,
+                w_min_x=float(w.x[i_min]), w_min_p=float(w.p[l_min]),
+                negative_volume=neg, w00=float(W[i0, l0]),
+                convention=CONVENTION)
 
 
 def _moving_gaussian(x):
@@ -150,7 +175,7 @@ class TestCatStates:
         W = w.W.copy()
         W[i, l_mirror] -= 4e-16 * abs(W[i, l_mirror])
         nudged = phase_space_metrics(
-            WignerGrid(x=w.x, p=w.p, W=W, norm=w.norm))
+            WignerGrid(x=w.x, p=w.p, W=W, dx=w.dx, dp=w.dp, norm=w.norm))
         assert (nudged.w_min_x, nudged.w_min_p) == (first.w_min_x,
                                                     first.w_min_p)
         assert nudged.w_min == W[i, l_mirror] / w.norm
@@ -200,9 +225,21 @@ class TestInputHandling:
 
     def test_zero_norm_cannot_be_normalized(self, gauss_w):
         blank = WignerGrid(x=gauss_w.x, p=gauss_w.p,
-                           W=np.zeros_like(gauss_w.W), norm=0.0)
+                           W=np.zeros_like(gauss_w.W), dx=gauss_w.dx,
+                           dp=gauss_w.dp, norm=0.0)
         with pytest.raises(ConfigurationError):
             phase_space_metrics(blank)
+
+    def test_zero_momentum_variance(self):
+        # all weight in the p = 0 column: Var(p) = 0, so no ratio
+        x = np.arange(-4.0, 4.0)
+        p = np.arange(-4.0, 4.0)
+        W = np.zeros((8, 8))
+        W[:, 4] = np.exp(-x ** 2)
+        w = WignerGrid(x=x, p=p, W=W, dx=1.0, dp=1.0,
+                       norm=float(np.sum(W)))
+        with pytest.raises(ConfigurationError, match="not finite"):
+            phase_space_metrics(w)
 
 
 class TestLatticeTransform:
@@ -249,3 +286,33 @@ class TestLatticeTransform:
         finally:
             tracemalloc.stop()
         assert peak <= 48.3e6
+
+
+class TestMetrics:
+    """The metrics read WignerGrid's spacings and marginals and find the
+    extrema on W itself; reference_metrics, on a normalized copy, is their
+    oracle."""
+
+    def test_spacings_are_the_transforms(self):
+        grid = _cat_window(1.0, 6.219, 512)  # the README cat lattice
+        w = wigner_transform(_cat, grid)
+        assert w.dx == grid.dx
+        assert w.dp == math.pi / (512 * grid.dx)
+        assert float(np.sum(w.W)) * w.dx * w.dp == w.norm
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(SUPERPOSED_KINDS),
+           beta=st.floats(0.3, 3.0), delta=st.floats(0.5, 8.0),
+           n=st.integers(9, 97), h=st.integers(4, 64))
+    def test_matches_normalized_copy(self, kind, beta, delta, n, h):
+        L = (delta + 40.0) / beta  # decayed even at the coarsest n
+        grid = Grid(-L, L, n)
+        w = wigner_transform(
+            lambda x: superposed_profile(kind, beta, delta, x), grid,
+            p_count=2 * h)
+        want = reference_metrics(w)
+        got = phase_space_metrics(w).to_dict()
+        exact = ("w_min", "w_min_x", "w_min_p", "w00", "convention")
+        assert {k: got[k] for k in exact} == {k: want[k] for k in exact}
+        for key in sorted(set(want) - set(exact)):
+            assert got[key] == pytest.approx(want[key], rel=1e-12), key
