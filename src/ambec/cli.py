@@ -177,7 +177,7 @@ def cmd_wigner(args) -> dict:
             return ansatz.superposed_profile(kind, beta, delta, x)
 
         L = (args.grid_l if args.grid_l is not None
-             else delta / beta + 32.0 / beta)
+             else abs(delta) / beta + 32.0 / beta)
         grid = dynamics.make_grid(L, args.grid_n)
     if args.p_count is None and grid.n % 2:
         raise ConfigurationError(

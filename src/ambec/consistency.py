@@ -5,9 +5,9 @@ conditions in (mu, epsilon), solved here by a damped Newton iteration and then
 expanded back to the full parameter set; every original relation is re-checked
 before a record is returned.
 
-Sign branches follow the printed constraint tables, which are oriented for
-alpha > 0.  For alpha < 0 the mirror map psi_m -> -psi_m gives the equivalent
-solution, so solve with |alpha| and flip D if the other branch is wanted.
+The model is invariant under alpha -> -alpha with psi_m -> -psi_m, so every
+solver takes either sign of alpha: at -alpha it returns the alpha record with
+alpha and D negated.
 """
 from __future__ import annotations
 
@@ -395,7 +395,7 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
         beta_max = abs(alpha) * math.sqrt(2.0 / (9.0 * (g_a + g_am)))
         raise NoDropletError(
             f"mu = {mu:g} lies at or below the critical value; "
-            f"admissible beta range is (0, {beta_max:.6g})")
+            f"admissible beta range is approximately (0, {beta_max:.6g})")
     # x = (beta/beta_max)^2 and 1 - x = den/c; B = (1/sqrt(1 - x) - 1)/2
     # written so that it does not cancel when beta << beta_max
     x = (g_a + g_am) / c
@@ -427,7 +427,7 @@ def _solve_cat(family: str, params: CouplingParams, seed,
     """Newton-solve a family II/III system from a (mu, epsilon) seed.
 
     At the root every closed form of B must agree with the primary one
-    before the sign scope of B, D and A^2 is checked.
+    before the signs of B and A^2 = -sqrt(2) epsilon D / alpha are checked.
     """
     mu_g, eps_g = float(seed[0]), float(seed[1])
     _require_admissible(params, family, seed_mu=mu_g, seed_epsilon=eps_g,
@@ -463,9 +463,6 @@ def _solve_cat(family: str, params: CouplingParams, seed,
     if not B > 0.0:
         raise OutOfScopeRootError(f"root gives B = {B:g} <= 0")
     D = G * B + C
-    if not eps * D < 0.0:
-        raise OutOfScopeRootError(
-            f"root gives epsilon = {eps:g}, D = {D:g}; they must have opposite signs")
     A2 = -SQRT2 * eps * D / params.alpha
     if not A2 > 0.0:
         raise OutOfScopeRootError(f"root gives A^2 = {A2:g} <= 0")
@@ -487,7 +484,7 @@ def solve_family_III(params: CouplingParams, seed, *,
                      tol: float = DEFAULT_TOL) -> SolutionRecord:
     """Newton-solve the family III conditions from a (mu, epsilon) seed.
 
-    epsilon may converge to either sign; D takes the opposite sign.
+    epsilon may converge to either sign; D takes the sign of -epsilon*alpha.
     """
     return _solve_cat("III", params, seed, tol)
 

@@ -35,23 +35,28 @@ class PotentialPair:
     phi_m: np.ndarray
 
 
+def _potentials_at(record: SolutionRecord, x: np.ndarray):
+    """V_a, V_m, phi_a, phi_m at x, as self_consistent_potentials states."""
+    p = record.params
+    phi_a = component_profile(record, "atomic", x)
+    phi_m = component_profile(record, "molecular", x)
+    # np.any, not np.min: an empty x is left to the caller's point count
+    if np.any(np.abs(phi_m) < 1e-300):
+        raise SingularParameterError(
+            "molecular profile vanishes on the grid; V_m is singular there")
+    V_a = p.g_a * phi_a ** 2 + p.g_am * phi_m ** 2 + SQRT2 * p.alpha * phi_m
+    V_m = (p.g_m * phi_m ** 2 + p.g_am * phi_a ** 2
+           + (p.alpha / SQRT2) * phi_a ** 2 / phi_m)
+    return V_a, V_m, phi_a, phi_m
+
+
 def self_consistent_potentials(record: SolutionRecord, grid: Grid) -> PotentialPair:
     """Potentials that make each field an eigenstate of a linear problem.
 
     V_a = g_a phi_a^2 + g_am phi_m^2 + sqrt(2) alpha phi_m
     V_m = g_m phi_m^2 + g_am phi_a^2 + (alpha/sqrt(2)) phi_a^2 / phi_m
     """
-    p = record.params
-    x = grid.x()
-    phi_a = component_profile(record, "atomic", x)
-    phi_m = component_profile(record, "molecular", x)
-    if np.min(np.abs(phi_m)) < 1e-300:
-        raise SingularParameterError(
-            "molecular profile vanishes on the grid; V_m is singular there")
-    V_a = p.g_a * phi_a ** 2 + p.g_am * phi_m ** 2 + SQRT2 * p.alpha * phi_m
-    V_m = (p.g_m * phi_m ** 2 + p.g_am * phi_a ** 2
-           + (p.alpha / SQRT2) * phi_a ** 2 / phi_m)
-    return PotentialPair(grid, V_a, V_m, phi_a, phi_m)
+    return PotentialPair(grid, *_potentials_at(record, grid.x()))
 
 
 def second_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -119,11 +124,14 @@ def flatness_metric(record: SolutionRecord, grid: Grid) -> float:
     parabola saturates near -0.115; the value grows through 0 as the
     quartic term takes over (flat bottom, steep walls) and past +1 once
     the bottom turns concave.  Strictly increasing as the chemical
-    potential approaches its critical value.
+    potential approaches its critical value.  Profiles are evaluated only
+    in the fit window, so tails that underflow cannot make V_m singular.
     """
-    pair = self_consistent_potentials(record, grid)
     w = 1.0 / record.beta
-    _, c2, c4 = quartic_fit(grid.x(), pair.V_m, w)
+    x = grid.x()
+    x = x[np.abs(x) < w]
+    _, V_m, _, _ = _potentials_at(record, x)
+    _, c2, c4 = quartic_fit(x, V_m, w)
     return _flatness(c2, c4, w)
 
 

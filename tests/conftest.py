@@ -5,6 +5,7 @@ Seeds for the Newton solves were frozen from coarse parameter-box scans;
 records are session-scoped since they are immutable.
 """
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -33,29 +34,46 @@ def fam1_record():
     return solve_family_I(3.0, -2.8, 2.0, 0.5)
 
 
+#: the family II/III reference solves: (family, couplings, Newton seed)
+CAT_SOLVES = {
+    "II-high": ("II", CouplingParams(-5.0, 1.0, -2.41, ALPHA_II_HIGH),
+                (-0.25002, -0.516404)),
+    "II-low": ("II", CouplingParams(-5.0, 1.0, -1.1, ALPHA_II_LOW),
+               (-0.099596745 * ALPHA_II_LOW ** 2,
+                -0.438693274 * ALPHA_II_LOW ** 2)),
+    "III-high": ("III", CouplingParams(-1.03, -1.2, -0.53, ALPHA_III_HIGH),
+                 (-0.25, -0.46263)),
+    "III-low": ("III", CouplingParams(-1.03, -1.2, -0.8, ALPHA_III_LOW),
+                (-0.125, 0.06097)),
+}
+
+
+def solve_cat(name, alpha_sign=1.0):
+    """The CAT_SOLVES solve `name`, at alpha_sign times its alpha."""
+    family, params, seed = CAT_SOLVES[name]
+    params = replace(params, alpha=alpha_sign * params.alpha)
+    solve = solve_family_II if family == "II" else solve_family_III
+    return solve(params, seed)
+
+
 @pytest.fixture(scope="session")
 def fam2_high_record():
-    params = CouplingParams(-5.0, 1.0, -2.41, ALPHA_II_HIGH)
-    return solve_family_II(params, (-0.25002, -0.516404))
+    return solve_cat("II-high")
 
 
 @pytest.fixture(scope="session")
 def fam2_low_record():
-    params = CouplingParams(-5.0, 1.0, -1.1, ALPHA_II_LOW)
-    a2 = ALPHA_II_LOW ** 2
-    return solve_family_II(params, (-0.099596745 * a2, -0.438693274 * a2))
+    return solve_cat("II-low")
 
 
 @pytest.fixture(scope="session")
 def fam3_high_record():
-    params = CouplingParams(-1.03, -1.2, -0.53, ALPHA_III_HIGH)
-    return solve_family_III(params, (-0.25, -0.46263))
+    return solve_cat("III-high")
 
 
 @pytest.fixture(scope="session")
 def fam3_low_record():
-    params = CouplingParams(-1.03, -1.2, -0.8, ALPHA_III_LOW)
-    return solve_family_III(params, (-0.125, 0.06097))
+    return solve_cat("III-low")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -264,15 +265,21 @@ class TestSolve:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
-    def test_negative_alpha_root_out_of_scope(self, tmp_path, capsys):
-        # the sign tables are oriented for alpha > 0; the module says to
-        # solve with |alpha| and flip D for the other branch
-        rc = main(["solve", "--family", "II", *CAT2[:-2], "--alpha=-1",
-                   "--seed-mu", "-0.1", "--seed-epsilon", "-0.44",
-                   "--out", str(tmp_path / "x.json")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.count("error:") == 1 and "must have opposite signs" in err
+    @pytest.mark.parametrize("argv", [
+        CAT2_SEEDED, ["--family", "III", *CAT3, "--scan"]],
+        ids=["II-seeded", "III-scan"])
+    def test_negative_alpha_gives_mirror_record(self, argv, tmp_path):
+        # the model is invariant under alpha -> -alpha with psi_m -> -psi_m
+        i = argv.index("--alpha")
+        minus = [*argv[:i], "--alpha=-" + argv[i + 1], *argv[i + 2:]]
+        records = []
+        for name, args in (("plus", argv), ("minus", minus)):
+            out = tmp_path / f"{name}.json"
+            assert main(["solve", *args, "--out", str(out)]) == 0
+            records.append(json.loads(out.read_text()))
+        plus, mirrored = records
+        mirrored["alpha"], mirrored["D"] = -mirrored["alpha"], -mirrored["D"]
+        assert mirrored == plus
 
 
 class TestTableCommands:
@@ -676,6 +683,22 @@ class TestWigner:
         _assert_one_error_line(rc, err)
         assert err.startswith("error: Wigner norm overflows")
 
+    @pytest.mark.parametrize("kind", SUPERPOSED_KINDS)
+    def test_negative_delta_writes_the_positive_delta_bytes(
+            self, kind, tmp_path, monkeypatch):
+        # every kind is even in delta, so the default window is too; each
+        # run writes w.csv in its own directory, since the lattice's
+        # comment names its manifest by the path given
+        written = []
+        for name, delta in (("plus", "6.219"), ("minus", "-6.219")):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["wigner", "--beta", "1", f"--delta={delta}",
+                         "--kind", kind, "--out", "w.csv"]) == 0
+            written.append((pathlib.Path("w.csv").read_bytes(),
+                            pathlib.Path("w.metrics.json").read_bytes()))
+        assert written[0] == written[1]
+
     def test_source_flags_are_exclusive(self, rec_path, tmp_path):
         rc = main(["wigner", "--solution", str(rec_path), "--beta", "1",
                    "--out", str(tmp_path / "x.csv")])
@@ -927,6 +950,29 @@ class TestScan:
         (row,) = data.rows
         assert row[-1] == "ok"
         assert row[1] > 0 and row[2] > 0
+
+    def test_row_whose_grid_tails_underflow(self, tmp_path):
+        # beta = 18.7 on a grid of half-width 20: the molecular profile
+        # underflows at the edges, but the fit reads only |x| < 1/beta
+        out = tmp_path / "scan.csv"
+        rc = main(["scan", "--g-a", "0", "--g-am", "0.01", "--alpha", "4",
+                   "--mu", "-700", "--out", str(out)])
+        assert rc == 0
+        (row,) = read_csv(str(out)).rows
+        assert row[-1] == "ok" and math.isfinite(row[3])
+
+    @pytest.mark.parametrize("mu, grid_n", [("-2000", "2048"), ("-5000", "9")],
+                             ids=["three-points", "empty-window"])
+    def test_fit_window_needs_five_points(self, mu, grid_n, tmp_path,
+                                          capsys):
+        argv = ["scan", "--g-a", "0", "--g-am", "0.001", "--alpha", "4",
+                "--mu", mu, "--out", str(tmp_path / "scan.csv")]
+        rc = main([*argv, "--grid-n", grid_n])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert "refine the grid" in err
+        if grid_n == "2048":
+            assert main([*argv, "--grid-n", "8192"]) == 0
 
     def test_out_of_window_rows(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -16,6 +16,7 @@ from ambec.core import CouplingParams, SolutionRecord
 from ambec.errors import (AmbecError, ConfigurationError,
                           InconsistentRootError, NoDropletError,
                           NoRootFoundError, SingularParameterError)
+from conftest import CAT_SOLVES, solve_cat
 
 KEYS_I = {"A1", "A2", "A3", "A4", "A4b", "A5", "A6", "A7", "A8", "A9"}
 KEYS_II = {"A10", "A11", "A12", "A13", "A13b", "A14", "A15", "A16", "A17"}
@@ -176,6 +177,37 @@ class TestNewtonSolvers:
         assert set(res) == keys
         assert not math.isfinite(res[b_form])
         assert set(normalized_residuals(rec)) == keys
+
+
+def _mirrored(rec):
+    """rec with alpha and D negated: psi_m -> -psi_m at -alpha."""
+    return dataclasses.replace(
+        rec, params=dataclasses.replace(rec.params, alpha=-rec.params.alpha),
+        D=-rec.D)
+
+
+class TestMirrorSymmetry:
+    """alpha -> -alpha with psi_m -> -psi_m negates both conditions
+    exactly, so a solve at -alpha takes the same Newton steps and returns
+    the alpha record with alpha and D negated, bit for bit."""
+
+    @staticmethod
+    def _assert_mirror(plus, minus):
+        assert _mirrored(minus).to_json() == plus.to_json()
+        assert normalized_residuals(minus) == normalized_residuals(plus)
+
+    @pytest.mark.parametrize("name", list(CAT_SOLVES))
+    def test_seeded_solve(self, name):
+        self._assert_mirror(solve_cat(name), solve_cat(name, -1.0))
+
+    @pytest.mark.parametrize("family, params", [
+        ("II", CouplingParams(-5.0, 1.0, -1.1, 1.0)),
+        ("III", CouplingParams(-1.03, -1.2, -0.8, 1.0))],
+        ids=["readme-II", "readme-III"])
+    def test_scan_solve(self, family, params):
+        minus = dataclasses.replace(params, alpha=-params.alpha)
+        self._assert_mirror(solve_from_scan(family, params),
+                            solve_from_scan(family, minus))
 
 
 class TestScanSeeding:

@@ -3,19 +3,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ambec.ansatz import mu_critical
 from ambec.consistency import solve_family_I
 from ambec.core import CouplingParams, Grid
-from ambec.errors import ConfigurationError, TruncationError
-from ambec.potentials import (eigen_residuals, flatness_metric, quartic_fit,
-                              second_derivative, self_consistent_potentials,
-                              well_shape)
+from ambec.errors import ConfigurationError, NoDropletError, TruncationError
+from ambec.potentials import (_flatness, eigen_residuals, flatness_metric,
+                              quartic_fit, second_derivative,
+                              self_consistent_potentials, well_shape)
 
 
 def _grid_for(record, n=2048):
     L = max(20.0, 40.0 / record.beta)
     return Grid(-L, L, n)
+
+
+def reference_flatness(record, grid):
+    """flatness_metric with V_m evaluated on the whole grid."""
+    w = 1.0 / record.beta
+    pair = self_consistent_potentials(record, grid)
+    _, c2, c4 = quartic_fit(grid.x(), pair.V_m, w)
+    return _flatness(c2, c4, w)
 
 
 class TestEigenResiduals:
@@ -96,6 +106,20 @@ class TestFlatness:
             rec = solve_family_I(3.0, -2.8, 2.0, beta)
             values.append(flatness_metric(rec, _grid_for(rec)))
         assert np.all(np.diff(values) > 0)
+
+    # README couplings: mu0 = -80/9, so every row's grid is
+    # max(20, 40/beta) wide and the fit window holds at least 5 points
+    @settings(derandomize=True, deadline=None)
+    @given(fraction=st.floats(1e-6, 1.0, exclude_max=True),
+           half_n=st.integers(150, 1050), odd=st.booleans())
+    def test_window_fit_equals_full_grid_fit(self, fraction, half_n, odd):
+        mu = fraction * mu_critical(CouplingParams(3.0, None, -2.8, 2.0))
+        try:
+            rec = solve_family_I(3.0, -2.8, 2.0, math.sqrt(-mu / 2.0))
+        except NoDropletError:  # a few ulps above mu0
+            assume(False)
+        grid = _grid_for(rec, 2 * half_n + odd)
+        assert flatness_metric(rec, grid) == reference_flatness(rec, grid)
 
     def test_quartic_fit_recovers_polynomial(self):
         g = Grid(-2.0, 2.0, 512)

@@ -4,7 +4,9 @@ Each `ambec ...` line of the README's Command line block runs in-process
 through `cli.main`, in one directory, so the manifests point at their
 inputs by relative path as in the README.  A change that moves the bytes
 of a data file declares it in CHANGES.md and updates its hash here.
-Manifests carry a wall time, so they are not pinned.
+Manifests carry a wall time, so they are not pinned.  The Library quick
+start block runs too, and its first line of output must match the digits
+its comment quotes.
 """
 import hashlib
 import shlex
@@ -64,3 +66,13 @@ def test_readme_commands_write_pinned_bytes(tmp_path, monkeypatch):
                for path in tmp_path.iterdir()
                if not path.name.endswith(".manifest.json")}
     assert written == SHA256
+
+
+def test_library_quick_start_prints_its_comment(capsys):
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    first_print = next(line for line in block.splitlines()
+                       if line.startswith("print("))
+    quoted = first_print.split("#", 1)[1].strip().rstrip(".")
+    exec(compile(block, "README quick start", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0].startswith(quoted)
