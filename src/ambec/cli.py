@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ansatz, consistency, dynamics, potentials, wigner
 from .core import (CouplingParams, Diagnostics, Grid, SolutionRecord,
-                   require_finite)
+                   require_finite, require_tol)
 from .errors import (AmbecError, ConfigurationError, NoDropletError,
                      OutOfScopeRegimeError, TruncationWarning)
 from .manifest import (RunManifest, format_float, open_output, write_csv,
@@ -211,6 +211,7 @@ def cmd_scan(args) -> None:
                 else "a --mu-min/--mu-max scan")
     require_finite(g_a=args.g_a, g_am=args.g_am, alpha=args.alpha, mu=args.mu,
                    mu_min=args.mu_min, mu_max=args.mu_max, tol=args.tol)
+    require_tol(args.tol)
     if args.mu is not None:
         mus = [args.mu]
     else:

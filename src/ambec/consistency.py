@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
 from .core import (SQRT2, CouplingParams, SolutionRecord, nonfinite,
-                   require_finite, validate_params)
+                   require_finite, require_tol, validate_params)
 from .errors import (ConfigurationError, ConvergenceError,
                      InconsistentRootError, NoDropletError, NoRootFoundError,
                      OutOfScopeRegimeError, OutOfScopeRootError,
@@ -166,15 +167,21 @@ def _conditions(family: str, params: CouplingParams, mu, eps):
         return f1 / (1.0 + s1), f2 / (1.0 + s2)
 
 
-def _newton2(parts, v0) -> np.ndarray:
-    """Damped 2-D Newton with a central finite-difference Jacobian.
+def _newton2(parts, seeds):
+    """Damped 2-D Newton with a central finite-difference Jacobian, run
+    from every column of the (2, k) stack of (mu, epsilon) seeds at once.
 
-    parts(V) maps a stack V of shape (2, k), one (mu, epsilon) point per
-    column, to four arrays of shape (k,): raw residuals 1 and 2 and their
-    scales.  Column c must equal parts(V[:, c:c + 1]) bit for bit (true of
-    any elementwise formula).  The seed is a one-column stack; each
-    iteration makes two more calls: the four finite-difference points,
-    and every damping level of the line search at once.
+    Yields (c, outcome) for each seed column c as its run ends, the
+    outcome being its root or the error its run raised; a caller that has
+    what it needs may stop early.  Each column is the run it would be
+    alone: parts(V) maps a (2, k) stack to four (k,) arrays, raw residuals
+    1 and 2 and their scales, and column c must equal parts(V[:, c:c + 1])
+    bit for bit (true of any elementwise formula).  Each iteration makes
+    two parts calls for the columns still running: the four
+    finite-difference points of each, and every damping level of each line
+    search.  An iteration whose stacked solve meets a singular matrix, or
+    whose arithmetic raises a numpy floating-point error, is redone column
+    by column; a column's FloatingPointError is then its outcome.
 
     Steps and the line search use the raw residuals under fixed row
     weights from the seed, so the merit keeps its polynomial growth away
@@ -187,86 +194,116 @@ def _newton2(parts, v0) -> np.ndarray:
     leash on |v| bound that behavior.  A few extra polishing steps after
     convergence push the root to machine precision.
     """
-    def combine(V):
-        r = parts(V)
-        return np.array(r[:2], dtype=float), np.array(r[2:], dtype=float)
+    def converged(R, S):
+        """|R|/(1 + S) < _NEWTON_TOL, where R and S are finite; the max is
+        nan or inf where R is not."""
+        with np.errstate(invalid="ignore"):  # inf/inf where not finite
+            q = (np.abs(R) / (1.0 + S)).max(axis=0)
+        return (q < _NEWTON_TOL) & np.isfinite(S).all(axis=0)
 
-    v = np.array(v0, dtype=float)
-    limit = _LEASH * max(1.0, float(np.max(np.abs(v))))
-    raw, scale = (a[:, 0] for a in combine(v[:, None]))
-    weights = np.where(np.isfinite(scale), 1.0 / (1.0 + scale), 1.0)
-    # lam = 1, 1/2, 1/4, ...: the damping levels of the line search
+    V = np.array(seeds, dtype=float)
+    ids = np.arange(V.shape[1])
+    R, S = np.split(np.array(parts(V), dtype=float), 2)
+    W = np.where(np.isfinite(S), 1.0 / (1.0 + S), 1.0)
+    with np.errstate(over="ignore"):
+        limit = _LEASH * np.fmax(1.0, np.abs(V).max(axis=0))
+    # finite-difference points v + h_0 e_0, v - h_0 e_0, v + h_1 e_1,
+    # v - h_1 e_1, and the damping levels lam = 1, 1/2, 1/4, ...
+    fd = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])[:, None]
     lams = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))
+    polish_left = np.full(ids.size, 3)
+    # the merit: max |weighted raw| of a column, inf where it is not finite
+    x = np.abs(W * R)
+    merit = best = np.where(np.isfinite(x).all(axis=0), x.max(axis=0),
+                            math.inf)
+    since_best = np.zeros(ids.size, dtype=int)
 
-    def merits(R):
-        """merit of each column of R; inf where any entry is not finite."""
-        x = np.abs(weights[:, None] * R)
-        return np.where(np.isfinite(x).all(axis=0), x.max(axis=0), math.inf)
-
-    def merit(r):
-        return float(merits(r[:, None])[0])
-
-    def converged(r, s):
-        return bool(np.all(np.isfinite(r)) and np.all(np.isfinite(s))
-                    and np.max(np.abs(r) / (1.0 + s)) < _NEWTON_TOL)
-
-    polish_left = 3
-    best = merit(raw)
-    since_best = 0
-    for _ in range(_NEWTON_MAX_ITER):
-        at_root = converged(raw, scale)
-        if at_root:
-            if polish_left == 0:
-                return v
-            polish_left -= 1
-        elif since_best > 12:
-            raise ConvergenceError(
-                f"Newton stagnated at residual {merit(raw):.3e}")
+    def advance(cols, at_root, result, nxt):
+        """One step of the columns cols (a slice or indices): each one's
+        outcome (a root or an error) into result, or its next v, raw, scale
+        and merit into nxt."""
+        v, w, base = V[:, cols], W[:, cols], merit[cols]
         h = 1e-7 * np.maximum(1.0, np.abs(v))
-        # columns v + h_0 e_0, v - h_0 e_0, v + h_1 e_1, v - h_1 e_1
-        F, _ = combine(v[:, None] + np.array([[h[0], -h[0], 0.0, 0.0],
-                                              [0.0, 0.0, h[1], -h[1]]]))
+        points = (v[:, :, None] + h[:, :, None] * fd).reshape(2, -1)
+        F = np.array(parts(points)[:2], dtype=float).reshape(2, -1, 4)
         with np.errstate(over="ignore", invalid="ignore"):
-            J = weights[:, None] * (F[:, 0::2] - F[:, 1::2]) / (2.0 * h)
-        if not np.all(np.isfinite(J)):
-            if at_root:
-                return v
-            raise ConvergenceError(
-                f"non-finite Jacobian at (mu, epsilon) = {tuple(v)}")
+            J = w[:, :, None] * (F[:, :, 0::2] - F[:, :, 1::2]) / (2.0 * h.T)
+        J = J.transpose(1, 0, 2)
+        b = (w * R[:, cols]).T[:, :, None]
+        finite = np.isfinite(J).all(axis=(1, 2))
+        if not finite.all():  # those columns end; solve I s = 0 for them
+            J[~finite], b[~finite] = np.eye(2), 0.0
+        step = np.linalg.solve(J, b)[:, :, 0]
+        trials = v[:, :, None] - lams * step.T[:, :, None]
+        t = np.array(parts(trials.reshape(2, -1)), dtype=float)
+        t = t.reshape(4, -1, _MAX_HALVINGS)  # raw residuals, then scales
+        # the merit of each trial: the max is nan or inf where raw is not
+        # finite, as 0 < w <= 1
+        x = np.abs(w[:, :, None] * t[:2]).max(axis=0)
+        usable = ((np.abs(trials).max(axis=0) <= limit[cols, None])
+                  & (x < math.inf))
+        better = usable & (x < base[:, None])
+        k = better.argmax(axis=1)
+        go = finite & better.any(axis=1)
+        if not go.all():
+            pos = np.arange(V.shape[1])[cols]
+            for c in np.flatnonzero(~go):
+                if at_root[pos[c]]:
+                    result[pos[c]] = v[:, c]
+                elif not finite[c]:
+                    result[pos[c]] = ConvergenceError(
+                        "non-finite Jacobian at (mu, epsilon) = "
+                        f"{tuple(v[:, c])}")
+                elif not usable[c].any():
+                    result[pos[c]] = ConvergenceError(
+                        "Newton left the search region at residual "
+                        f"{base[c]:.3e}")
+                else:  # creep: the smallest usable step
+                    k[c] = _MAX_HALVINGS - 1 - usable[c, ::-1].argmax()
+        c = np.arange(k.size)
+        nxt[:6, cols] = np.concatenate([trials[:, c, k], t[:, c, k]])
+        nxt[6, cols] = x[c, k]
+
+    for _ in range(_NEWTON_MAX_ITER):
+        at_root = converged(R, S)
+        stop = np.where(at_root, polish_left == 0, since_best > 12)
+        result = {c: V[:, c] if at_root[c] else ConvergenceError(
+                      f"Newton stagnated at residual {merit[c]:.3e}")
+                  for c in np.flatnonzero(stop)} if stop.any() else {}
+        polish_left -= at_root
+        cols = np.flatnonzero(~stop) if result else slice(None)
+        nxt = np.empty((7, ids.size))
         try:
-            step = np.linalg.solve(J, weights * raw)
-        except np.linalg.LinAlgError:
-            if at_root:
-                return v
-            raise ConvergenceError(
-                f"singular Jacobian at (mu, epsilon) = {tuple(v)}") from None
-        base = merit(raw)
-        trials = v[:, None] - lams * step[:, None]
-        t_raw, t_scale = combine(trials)
-        usable = ((np.abs(trials).max(axis=0) <= limit)
-                  & np.isfinite(t_raw).all(axis=0))
-        better = usable & (merits(t_raw) < base)
-        if better.any():
-            k = int(np.argmax(better))
-        elif at_root:
-            return v
-        elif usable.any():
-            k = _MAX_HALVINGS - 1 - int(np.argmax(usable[::-1]))
-        else:
-            raise ConvergenceError(
-                f"Newton left the search region at residual {base:.3e}")
-        v, raw, scale = trials[:, k], t_raw[:, k], t_scale[:, k]
-        m = merit(raw)
-        if m < 0.9 * best:
-            best = m
-            since_best = 0
-        else:
-            since_best += 1
-    if converged(raw, scale):
-        return v
-    raise ConvergenceError(
-        f"no convergence in {_NEWTON_MAX_ITER} iterations; last residual "
-        f"{merit(raw):.3e}")
+            advance(cols, at_root, result, nxt)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            for c in np.arange(ids.size)[cols]:
+                try:
+                    advance(slice(c, c + 1), at_root, result, nxt)
+                except np.linalg.LinAlgError:
+                    result[c] = V[:, c] if at_root[c] else ConvergenceError(
+                        "singular Jacobian at (mu, epsilon) = "
+                        f"{tuple(V[:, c])}")
+                except FloatingPointError as exc:
+                    result[c] = exc
+        V, R, S, merit = nxt[0:2], nxt[2:4], nxt[4:6], nxt[6]
+        if result:
+            keep = np.ones(ids.size, dtype=bool)
+            for c in sorted(result):
+                yield ids[c], result[c]
+                keep[c] = False
+            if not keep.any():
+                return
+            ids, V, R, S, W, limit, polish_left, best, since_best, merit = (
+                a[..., keep] for a in (ids, V, R, S, W, limit, polish_left,
+                                       best, since_best, merit))
+        gain = merit < 0.9 * best
+        best = np.where(gain, merit, best)
+        since_best = np.where(gain, 0, since_best + 1)
+    at_root = converged(R, S)
+    for c, i in enumerate(ids):
+        yield i, V[:, c] if at_root[c] else ConvergenceError(
+            f"no convergence in {_NEWTON_MAX_ITER} iterations; last residual "
+            f"{merit[c]:.3e}")
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -370,6 +407,7 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
     to alpha, and g_m = (g_a - g_am)/2.
     """
     require_finite(g_a=g_a, g_am=g_am, alpha=alpha, beta=beta, tol=tol)
+    require_tol(tol)
     if alpha == 0.0:
         raise ConfigurationError("family I needs alpha != 0")
     if not beta > 0.0:
@@ -424,20 +462,30 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
 
 def _solve_cat(family: str, params: CouplingParams, seed,
                tol: float) -> SolutionRecord:
-    """Newton-solve a family II/III system from a (mu, epsilon) seed.
-
-    At the root every closed form of B must agree with the primary one
-    before the signs of B and A^2 = -sqrt(2) epsilon D / alpha are checked.
-    """
+    """Newton-solve a family II/III system from a (mu, epsilon) seed."""
     mu_g, eps_g = float(seed[0]), float(seed[1])
     _require_admissible(params, family, seed_mu=mu_g, seed_epsilon=eps_g,
                         tol=tol)
+    require_tol(tol)
     if not _in_sign_scope(family, mu_g, eps_g):
         raise ConfigurationError(f"family {family} seeds need "
                                  f"{_SIGN_SCOPE[family]}, got {(mu_g, eps_g)}")
 
-    mu, eps = map(float, _newton2(
-        lambda v: _condition_parts(family, params, v[0], v[1]), (mu_g, eps_g)))
+    (_, root), = _newton2(lambda V: _condition_parts(family, params, *V),
+                          [[mu_g], [eps_g]])
+    return _cat_record(family, params, root, tol)
+
+
+def _cat_record(family: str, params: CouplingParams, root,
+                tol: float) -> SolutionRecord:
+    """The record at a _newton2 outcome, which is raised if it is an error.
+
+    At the root every closed form of B must agree with the primary one
+    before the signs of B and A^2 = -sqrt(2) epsilon D / alpha are checked.
+    """
+    if isinstance(root, Exception):
+        raise root
+    mu, eps = map(float, root)
     if not _in_sign_scope(family, mu, eps):
         raise OutOfScopeRootError(
             f"root (mu, epsilon) = {(mu, eps)} violates {_SIGN_SCOPE[family]}")
@@ -498,26 +546,31 @@ def _nearest_real_root(coefs, target: float, label: str) -> float:
     return min(real, key=lambda r: abs(r - target))
 
 
-def _refine_seed(family: str, params: CouplingParams, mu_c: float,
-                 eps_c: float, d_mu: float, d_eps: float):
-    """Zoom toward the joint zero of both conditions inside a scan cell.
+def _refine_seed(family: str, params: CouplingParams, mu_c, eps_c,
+                 d_mu: float, d_eps: float) -> list:
+    """Zoom toward the joint zero of both conditions inside scan cells.
 
-    Each level re-grids a square window around the current best point and
-    shrinks it 4x, because the Newton basins of the steepest roots are
-    narrower than a coarse scan cell.
+    mu_c and eps_c hold the cells' centres; the seeds come back as a list
+    of (mu, epsilon).  Each level re-grids a square window around each
+    cell's current best point and shrinks it 4x, because the Newton basins
+    of the steepest roots are narrower than a coarse scan cell.  The cells
+    are refined together, each on its own window.
     """
     for _ in range(_REFINE_LEVELS):
-        mus = np.linspace(mu_c - d_mu, mu_c + d_mu, _REFINE_POINTS)
-        epss = np.linspace(eps_c - d_eps, eps_c + d_eps, _REFINE_POINTS)
-        M, E = np.meshgrid(mus, epss, indexing="ij")
-        f1, f2 = _conditions(family, params, M, E)
+        mus = np.array([np.linspace(m - d_mu, m + d_mu, _REFINE_POINTS)
+                        for m in mu_c])
+        epss = np.array([np.linspace(e - d_eps, e + d_eps, _REFINE_POINTS)
+                         for e in eps_c])
+        f1, f2 = _conditions(family, params, mus[:, :, None], epss[:, None])
         score = np.abs(f1) + np.abs(f2)
         score = np.where(np.isfinite(score), score, np.inf)
-        i, j = np.unravel_index(int(np.argmin(score)), score.shape)
-        mu_c, eps_c = float(mus[i]), float(epss[j])
+        i, j = np.divmod(score.reshape(len(mus), -1).argmin(axis=1),
+                         _REFINE_POINTS)
+        c = np.arange(len(mus))
+        mu_c, eps_c = mus[c, i], epss[c, j]
         d_mu /= 0.5 * (_REFINE_POINTS - 1)
         d_eps /= 0.5 * (_REFINE_POINTS - 1)
-    return mu_c, eps_c
+    return list(zip(mu_c.tolist(), eps_c.tolist()))
 
 
 def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
@@ -526,8 +579,8 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
 
     Checks the family and the box and scans it at once, raising
     NoRootFoundError when no cell changes sign.  Returns the number of
-    sign-change cells and a generator of their seeds, best cell first:
-    each cell is zoom-refined only when the generator reaches it.
+    sign-change cells and refine(k), which zoom-refines the next k cells,
+    best cell first, and returns their seeds (none once all are taken).
     """
     if family == "I":
         raise ConfigurationError("family I is closed form; it takes no scan")
@@ -566,10 +619,15 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
     order = np.argsort(score[ii, jj], kind="stable")
     d_mu = 0.5 * (mus[1] - mus[0])
     d_eps = 0.5 * (epss[1] - epss[0])
-    seeds = (_refine_seed(family, params, 0.5 * (mus[i] + mus[i + 1]),
-                          0.5 * (epss[j] + epss[j + 1]), d_mu, d_eps)
-             for i, j in zip(ii[order], jj[order]))
-    return ii.size, seeds
+    ii, jj = ii[order], jj[order]
+    centres = zip(0.5 * (mus[ii] + mus[ii + 1]),
+                  0.5 * (epss[jj] + epss[jj + 1]))
+
+    def refine(k):
+        cells = list(islice(centres, k))
+        return (_refine_seed(family, params, *zip(*cells), d_mu, d_eps)
+                if cells else [])
+    return ii.size, refine
 
 
 def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
@@ -580,9 +638,10 @@ def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
     how small the conditions already are (best first), for feeding the
     Newton solvers.  Each seed is the zoom-refined interior minimum of its
     cell, not the bare cell center.  solve_from_scan tries the same seeds
-    in the same order but refines each one only when it gets to it.
+    in the same order but refines only the cells it gets to.
     """
-    return list(_scan_seeds(params, family, mu_range, eps_range, n)[1])
+    found, refine = _scan_seeds(params, family, mu_range, eps_range, n)
+    return refine(found)
 
 
 def default_scan_ranges(family: str, alpha: float):
@@ -600,32 +659,44 @@ def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
                     tol: float = DEFAULT_TOL) -> SolutionRecord:
     """Scan for seeds, then try Newton from each candidate until one passes.
 
-    The candidates are grid_scan_seed's, in its order, but each is
-    zoom-refined only when it is about to be tried, so a scan whose first
-    seeds pass never refines the rest.  Seeds outside the family's sign
-    scope are skipped.  When every candidate fails, the NoRootFoundError
-    counts the candidates, the seeds tried and their failures by error
-    type, and quotes the last failure.
+    The candidates are grid_scan_seed's, in its order; seeds outside the
+    family's sign scope are skipped.  Newton runs from blocks of 1, 1, 2,
+    4, ... seeds at once, each block as large as all seeds tried before
+    it, and a seed is zoom-refined only when its block is built.  Roots are
+    checked in seed order as their runs end, and the first that passes
+    wins, so the record, or the error, is that of trying one seed after
+    another.  When every candidate fails, the NoRootFoundError counts the
+    candidates, the seeds tried and their failures by error type, and
+    quotes the last failure.
     """
     if family not in ("II", "III"):
         raise ConfigurationError("scan-solve applies to families II and III")
     require_finite(tol=tol)
+    require_tol(tol)
     d_mu, d_eps = default_scan_ranges(family, params.alpha)
-    found, seeds = _scan_seeds(
+    found, refine = _scan_seeds(
         params, family, d_mu if mu_range is None else mu_range,
         d_eps if eps_range is None else eps_range, n)
-    solve = solve_family_II if family == "II" else solve_family_III
     failures = Counter()
     detail = "every seed violated sign preconditions"
-    for mu_g, eps_g in seeds:
-        if not _in_sign_scope(family, mu_g, eps_g):
-            continue
-        try:
-            return solve(params, (mu_g, eps_g), tol=tol)
-        except (ConvergenceError, OutOfScopeRootError, InconsistentRootError,
-                SingularParameterError) as exc:
-            failures[type(exc).__name__] += 1
-            detail = str(exc)
+    while True:
+        size, block = sum(failures.values()) or 1, []
+        while len(block) < size and (seeds := refine(size - len(block))):
+            block += [s for s in seeds if _in_sign_scope(family, *s)]
+        if not block:
+            break
+        done, turn = {}, 0
+        for c, root in _newton2(lambda V: _condition_parts(family, params, *V),
+                                np.transpose(block)):
+            done[c] = root  # checked in seed order as the runs end
+            while turn in done:
+                try:
+                    return _cat_record(family, params, done.pop(turn), tol)
+                except (ConvergenceError, OutOfScopeRootError,
+                        InconsistentRootError, SingularParameterError) as exc:
+                    failures[type(exc).__name__] += 1
+                    detail = str(exc)
+                turn += 1
     summary = f"{found} candidates, {sum(failures.values())} tried"
     if failures:
         summary += ": " + ", ".join(f"{k} {name}"

@@ -57,6 +57,12 @@ def require_finite(**values) -> None:
         raise ConfigurationError("; ".join(bad))
 
 
+def require_tol(tol: float) -> None:
+    """Raise ConfigurationError unless tol > 0: no residual is below tol <= 0."""
+    if not tol > 0.0:
+        raise ConfigurationError(f"tol must be positive, got {tol:g}")
+
+
 def _finite_number(x) -> bool:
     """True for an int or float, not a bool, that is finite as a float."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):

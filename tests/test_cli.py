@@ -151,6 +151,43 @@ class TestSolve:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--family", "I", *FIG1, "--beta", "1"],
+        ["solve", *CAT2_SEEDED],
+        ["solve", "--family", "III", *CAT3, "--scan"],
+        ["scan", *FIG1, "--mu-min", "-8", "--mu-max", "-1", "--count", "3"],
+        ["scan", *FIG1, "--mu", "1"],
+    ], ids=["family-I", "seeded", "scan-solve", "scan", "scan-solving-nothing"])
+    @pytest.mark.parametrize("tol", [["--tol", "0"], ["--tol=-1e-9"]],
+                             ids=["zero", "negative"])
+    def test_non_positive_tol(self, argv, tol, tmp_path, capsys):
+        # no root can pass norm < tol <= 0: exit 3 before any scan or Newton
+        out = tmp_path / "x.out"
+        rc = main([*argv, *tol, "--out", str(out)])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert "tol must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu_range, rc", [
+        (["--mu-range", "-100", "-0.01"], 0),
+        (["--mu-range", "-1", "-1e-2"], 2),
+        (["--mu-range=-1e308", "-1"], 2),
+    ], ids=["decimal", "exponent", "exponent-joined"])
+    def test_negative_range_values_need_decimal_form(self, mu_range, rc,
+                                                     tmp_path, capsys):
+        # argparse reads a separate -1e-2 or -1 after a joined value as a
+        # flag, so a two-value flag takes negative values in decimal form
+        argv = ["solve", "--family", "III", *CAT3, "--scan", *mu_range,
+                "--out", str(tmp_path / "x.json")]
+        if rc:
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == rc
+            assert "expected 2 arguments" in capsys.readouterr().err
+        else:
+            assert main(argv) == 0
+
     def test_wrong_basin_seed(self, tmp_path, capsys):
         rc = main(["solve", "--family", "II", *CAT2,
                    "--seed-mu", "-0.01", "--seed-epsilon", "-0.02",

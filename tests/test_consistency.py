@@ -262,6 +262,26 @@ class TestTolerancePlumbing:
             with pytest.raises(ConfigurationError, match="tol must be finite"):
                 solve()
 
+    @pytest.mark.parametrize("tol", [0.0, -0.0, -1e-9, -math.inf])
+    def test_non_positive_tol_rejected_before_newton(self, tol, monkeypatch):
+        def never(*args):
+            raise AssertionError("scan or Newton started")
+
+        monkeypatch.setattr(consistency, "_newton2", never)
+        monkeypatch.setattr(consistency, "_scan_seeds", never)
+        cat2 = CouplingParams(-5.0, 1.0, -1.1, 1.0)
+        cat3 = CouplingParams(-1.03, -1.2, -0.8, 1.0)
+        solves = [lambda: solve_family_I(3.0, -2.8, 2.0, 0.5, tol=tol),
+                  lambda: solve_family_II(cat2, (-0.1, -0.44), tol=tol),
+                  lambda: solve_family_III(cat3, (-40.0, 19.0), tol=tol),
+                  lambda: solve_from_scan("II", cat2, tol=tol),
+                  lambda: solve_from_scan("III", cat3, tol=tol)]
+        for solve in solves:
+            with pytest.raises(ConfigurationError,
+                               match="tol must be (positive|finite)"):
+                solve()
+
     def test_explicit_tol_can_reject_good_roots(self):
+        # family I's worst normalized residual is about 1.2e-17
         with pytest.raises(InconsistentRootError):
-            solve_family_I(3.0, -2.8, 2.0, 0.5, tol=0.0)
+            solve_family_I(3.0, -2.8, 2.0, 0.5, tol=1e-20)

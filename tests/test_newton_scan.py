@@ -1,5 +1,7 @@
 """Batched Newton and lazy scan seeding: same roots as the scalar loops."""
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambec import consistency
-from ambec.consistency import (_condition_parts, _in_sign_scope, _newton2,
-                               default_scan_ranges, default_tol,
-                               grid_scan_seed, normalized_residuals,
-                               solve_from_scan)
+from ambec.consistency import (DEFAULT_TOL, SCAN_N, _condition_parts,
+                               _in_sign_scope, _newton2, default_scan_ranges,
+                               default_tol, grid_scan_seed,
+                               normalized_residuals, solve_family_II,
+                               solve_family_III, solve_from_scan)
 from ambec.core import CouplingParams
-from ambec.errors import AmbecError, ConvergenceError, NoRootFoundError
+from ambec.errors import (AmbecError, ConfigurationError, ConvergenceError,
+                          InconsistentRootError, NoRootFoundError,
+                          OutOfScopeRootError, SingularParameterError)
 
 
 def reference_newton2(parts, v0, max_iter=100, tol=1e-12, max_halvings=30,
@@ -122,53 +127,75 @@ README_II = CouplingParams(-5.0, 1.0, -1.1, 1.0)
 README_III = CouplingParams(-1.03, -1.2, -0.8, 1.0)
 
 
-def _outcome(newton, parts, seed):
-    """The root's bits, or the type and text of the error raised."""
+def _describe(outcome):
+    """A root as the hex of its bits, an error as its type and text."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    return [float(x).hex() for x in outcome]
+
+
+def _reference(parts, seed):
     try:
-        return [float(x).hex() for x in newton(parts, seed)]
-    except AmbecError as exc:
-        return type(exc).__name__, str(exc)
+        return _describe(reference_newton2(parts, seed))
+    except (AmbecError, FloatingPointError) as exc:
+        return _describe(exc)
+
+
+def _block(parts, seeds):
+    """_newton2's outcome for each seed, from one (2, k) stack, in seed
+    order; each seed is yielded once."""
+    ended = list(_newton2(parts, np.transpose(seeds)))
+    assert sorted(c for c, _ in ended) == list(range(len(seeds)))
+    return [_describe(o) for _, o in sorted(ended, key=lambda e: e[0])]
+
+
+def _parts(index):
+    family, params, _ = ROOTS[index]
+    return lambda v: _condition_parts(family, params, v[0], v[1])
+
+
+#: a seed as factors of a ROOTS root: from near it out to several times its
+#: coordinates, so that converging, creeping (no damping level improves)
+#: and failing runs all occur
+FACTORS = st.tuples(st.floats(0.3, 3.0), st.floats(-3.0, 3.0))
 
 
 class TestBatchedNewton:
-    # seeds from near a root out to several times its coordinates, so that
-    # converging, creeping (no damping level improves) and failing runs
-    # all occur
     @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(index=st.integers(0, len(ROOTS) - 1), factors=FACTORS)
+    def test_same_root_bits_as_scalar_loop(self, index, factors):
+        mu, eps = ROOTS[index][2]
+        seed = (mu * factors[0], eps * factors[1])
+        assert _block(_parts(index), [seed]) == [_reference(_parts(index), seed)]
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
     @given(index=st.integers(0, len(ROOTS) - 1),
-           f_mu=st.floats(0.3, 3.0), f_eps=st.floats(-3.0, 3.0))
-    def test_same_root_bits_as_scalar_loop(self, index, f_mu, f_eps):
-        family, params, (mu, eps) = ROOTS[index]
-
-        def parts(v):
-            return _condition_parts(family, params, v[0], v[1])
-
-        seed = (mu * f_mu, eps * f_eps)
-        assert (_outcome(_newton2, parts, seed)
-                == _outcome(reference_newton2, parts, seed))
+           factors=st.lists(FACTORS, min_size=2, max_size=9))
+    def test_each_column_is_its_scalar_run(self, index, factors):
+        mu, eps = ROOTS[index][2]
+        seeds = [(mu * f_mu, eps * f_eps) for f_mu, f_eps in factors]
+        parts = _parts(index)
+        assert _block(parts, seeds) == [_reference(parts, s) for s in seeds]
 
     @pytest.mark.parametrize("index", range(len(ROOTS)))
     def test_root_seed_converges_to_same_bits(self, index):
-        family, params, root = ROOTS[index]
-
-        def parts(v):
-            return _condition_parts(family, params, v[0], v[1])
-
-        got = _outcome(_newton2, parts, root)
+        root = ROOTS[index][2]
+        got = _block(_parts(index), [root])[0]
         assert isinstance(got, list)
-        assert got == _outcome(reference_newton2, parts, root)
+        assert got == _reference(_parts(index), root)
 
     @pytest.mark.parametrize("index", range(len(ROOTS)))
     def test_parts_sees_only_two_row_stacks(self, index):
-        family, params, (mu, eps) = ROOTS[index]
+        mu, eps = ROOTS[index][2]
         args = []
 
         def parts(v):
             args.append(np.array(v))
-            return _condition_parts(family, params, v[0], v[1])
+            return _parts(index)(v)
 
-        _outcome(_newton2, parts, (mu * 1.5, eps * 0.5))
-        assert args[0].shape == (2, 1)
+        seeds = [(mu * 1.5, eps * 0.5), (mu, eps), (mu * 3.0, -eps)]
+        list(_newton2(parts, np.transpose(seeds)))
+        assert args[0].shape == (2, 3)
         assert all(a.ndim == 2 and a.shape[0] == 2 for a in args), [
             a.shape for a in args]
 
@@ -179,6 +206,31 @@ class TestBatchedNewton:
         for c in range(V.shape[1]):
             alone = _condition_parts(family, params, V[0, c], V[1, c])
             assert [float(a[c]) for a in stacked] == [float(a) for a in alone]
+
+    def test_singular_column_is_solved_alone(self):
+        # mu = 0 makes the Jacobian of (mu + eps, mu^2) exactly singular,
+        # so the stacked solve raises and the step is redone per column
+        def parts(v):
+            f1, f2 = v[0] + v[1], v[0] * v[0]
+            return f1, f2, np.abs(v[0]) + np.abs(v[1]), f2
+
+        seeds = [(0.5, 1.0), (0.0, 1.0), (-2.0, 3.0)]
+        got = _block(parts, seeds)
+        assert got == [_reference(parts, s) for s in seeds]
+        assert got[1][0] == "ConvergenceError"
+        assert got[1][1].startswith("singular Jacobian at (mu, epsilon) = ")
+
+    def test_floating_point_error_stays_in_its_column(self):
+        # the finite-difference points of the first seed overflow
+        def parts(v):
+            return v[0] - 1.0, v[1] - 2.0, np.abs(v[0]), np.abs(v[1])
+
+        seeds = [(1.7976931348623157e308, 1.0), (3.0, 5.0)]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _block(parts, seeds)
+            assert got == [_reference(parts, s) for s in seeds]
+        assert got[0] == ("FloatingPointError", "overflow encountered in add")
+        assert got[1] == ["0x1.0000000000000p+0", "0x1.0000000000000p+1"]
 
 
 def _counting(monkeypatch, name):
@@ -194,43 +246,69 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _cells(refine_calls):
+    """The number of scan cells the logged _refine_seed calls refined."""
+    return sum(len(args[2]) for args in refine_calls)
+
+
+def _seeds_tried(newton_calls):
+    """The seeds of each logged _newton2 call, one list per block."""
+    return [[tuple(map(float, col)) for col in np.transpose(args[1])]
+            for args in newton_calls]
+
+
 class TestLazySeeding:
     def test_readme_III_refines_only_up_to_the_winner(self, monkeypatch):
         seeds = grid_scan_seed(README_III, "III",
                                *default_scan_ranges("III", 1.0))
         assert len(seeds) == 74
         refined = _counting(monkeypatch, "_refine_seed")
-        tried = _counting(monkeypatch, "solve_family_III")
+        tried = _counting(monkeypatch, "_newton2")
         rec = solve_from_scan("III", README_III)
         # the first seed lies outside mu < 0 and is skipped untried; the
         # second wins
         assert not _in_sign_scope("III", *seeds[0])
-        assert [args[1] for args in tried] == [seeds[1]]
-        assert len(refined) == 2
+        assert _seeds_tried(tried) == [[seeds[1]]]
+        assert _cells(refined) == 2
         assert (rec.mu, rec.epsilon) == (-39.51816580788611, 19.27603819675771)
 
     def test_readme_II_refines_one_cell(self, monkeypatch):
         refined = _counting(monkeypatch, "_refine_seed")
-        tried = _counting(monkeypatch, "solve_family_II")
+        tried = _counting(monkeypatch, "_newton2")
         solve_from_scan("II", README_II)
-        assert len(refined) == len(tried) == 1
+        assert _cells(refined) == 1
+        assert [len(block) for block in _seeds_tried(tried)] == [1]
 
     def test_full_list_is_the_order_seeds_are_tried(self, monkeypatch):
         seeds = grid_scan_seed(README_III, "III",
                                *default_scan_ranges("III", 1.0))
-        tried = []
+        blocks = []
 
-        def always_fails(params, seed, *, tol=None):
-            tried.append(seed)
-            raise ConvergenceError("rejected")
+        def always_fails(parts, stack):
+            blocks.append([tuple(map(float, col)) for col in stack.T])
+            return [(c, ConvergenceError("rejected"))
+                    for c in range(stack.shape[1])]
 
-        monkeypatch.setattr(consistency, "solve_family_III", always_fails)
+        monkeypatch.setattr(consistency, "_newton2", always_fails)
         with pytest.raises(NoRootFoundError) as e:
             solve_from_scan("III", README_III)
         in_scope = [s for s in seeds if _in_sign_scope("III", *s)]
-        assert tried == in_scope and len(in_scope) == 73
+        # blocks of 1, 1, 2, 4, ...: each as large as all before it
+        assert [len(b) for b in blocks] == [1, 1, 2, 4, 8, 16, 32, 9]
+        assert sum(blocks, []) == in_scope and len(in_scope) == 73
         assert "(74 candidates, 73 tried: 73 ConvergenceError)" in str(e.value)
         assert str(e.value).endswith("; last failure: rejected")
+
+    @pytest.mark.parametrize("family, params", [
+        ("II", README_II), ("III", README_III), ROOTS[3][:2]])
+    def test_cells_refined_together_as_one_by_one(self, family, params):
+        box = default_scan_ranges(family, params.alpha)
+        together = grid_scan_seed(params, family, *box)
+        _, refine = consistency._scan_seeds(params, family, *box, SCAN_N)
+        alone = []
+        while seed := refine(1):
+            alone += seed
+        assert together == alone and len(alone) > 1
 
     def test_no_cells_raised_before_any_seed(self, monkeypatch):
         refined = _counting(monkeypatch, "_refine_seed")
@@ -238,6 +316,72 @@ class TestLazySeeding:
             solve_from_scan("II", README_II, mu_range=(-3.0, -1.0),
                             eps_range=(-3.0, -1.0), n=30)
         assert refined == []
+
+
+def reference_solve_from_scan(family, params, mu_range=None, eps_range=None,
+                              n=SCAN_N, tol=DEFAULT_TOL):
+    """solve_from_scan as one seeded solve after another, each seed refined
+    only when its turn comes."""
+    if family not in ("II", "III"):
+        raise ConfigurationError("scan-solve applies to families II and III")
+    d_mu, d_eps = default_scan_ranges(family, params.alpha)
+    found, refine = consistency._scan_seeds(
+        params, family, d_mu if mu_range is None else mu_range,
+        d_eps if eps_range is None else eps_range, n)
+    solve = solve_family_II if family == "II" else solve_family_III
+    failures = Counter()
+    detail = "every seed violated sign preconditions"
+    while seed := refine(1):
+        mu_g, eps_g = seed[0]
+        if not _in_sign_scope(family, mu_g, eps_g):
+            continue
+        try:
+            return solve(params, (mu_g, eps_g), tol=tol)
+        except (ConvergenceError, OutOfScopeRootError, InconsistentRootError,
+                SingularParameterError) as exc:
+            failures[type(exc).__name__] += 1
+            detail = str(exc)
+    summary = f"{found} candidates, {sum(failures.values())} tried"
+    if failures:
+        summary += ": " + ", ".join(f"{k} {name}"
+                                    for name, k in failures.most_common())
+    raise NoRootFoundError(f"no scan candidate solves family {family} "
+                           f"({summary}); last failure: {detail}")
+
+
+def _scan_outcome(solve, *args, **kwargs):
+    try:
+        return repr(solve(*args, **kwargs))
+    except AmbecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: the README and conftest family II/III couplings: (family, g_a, g_m,
+#: g_am, alpha)
+SCAN_BASES = (
+    ("II", -5.0, 1.0, -1.1, 1.0),
+    ("III", -1.03, -1.2, -0.8, 1.0),
+    ("II", -5.0, 1.0, -2.41, 0.230806),
+    ("II", -5.0, 1.0, -1.1, 1.584335),
+    ("III", -1.03, -1.2, -0.53, 0.059261),
+    ("III", -1.03, -1.2, -0.8, 0.0562413),
+)
+
+
+class TestScanSolveOracle:
+    """Blocks of seeds give the record, or the error, of one seed after
+    another; small scans make the failure paths run."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(base=st.sampled_from(SCAN_BASES),
+           jitter=st.tuples(*[st.floats(-0.02, 0.02)] * 4),
+           n=st.integers(20, 60))
+    def test_same_record_or_error_as_seed_loop(self, base, jitter, n):
+        family, *values = base
+        params = CouplingParams(*(v * (1.0 + j) for v, j in zip(values, jitter)))
+        assert (_scan_outcome(solve_from_scan, family, params, n=n)
+                == _scan_outcome(reference_solve_from_scan, family, params,
+                                 n=n))
 
 
 class TestScanFailureReport:
@@ -272,8 +416,36 @@ class TestScanSolveProperty:
         assert max(normalized_residuals(record).values()) < default_tol()
 
 
+#: the benchmark's scan-solve coupling sets: (family, g_a, g_m, g_am, alpha),
+#: each solved at alpha * (1 + k/1000) for k = -10..10
+JITTERED_SETS = (
+    ("II", -5.0, 1.0, -1.1, 1.0),
+    ("III", -1.03, -1.2, -0.8, 1.0),
+    ("II", -5.0, 1.0, -2.41, 0.230806),
+    ("II", -5.0, 1.0, -1.1, 1.584335),
+    ("III", -1.03, -1.2, -0.8, 0.0562413),
+)
+JITTER_STEPS = range(-10, 11)
+
+
 class TestPinnedScanRecords:
     """The README --scan records, bit for bit."""
+
+    def test_jittered_and_conftest_records(self):
+        # the 105 jittered sets in order, then conftest III-high and III-low
+        digest = hashlib.sha256()
+        for family, g_a, g_m, g_am, alpha in JITTERED_SETS:
+            for k in JITTER_STEPS:
+                alpha_k = float(format(alpha * (1 + k / 1000), ".9g"))
+                record = solve_from_scan(
+                    family, CouplingParams(g_a, g_m, g_am, alpha_k))
+                digest.update((record.to_json() + "\n").encode())
+        for g_am, alpha in ((-0.53, 0.059261), (-0.8, 0.0562413)):
+            record = solve_from_scan(
+                "III", CouplingParams(-1.03, -1.2, g_am, alpha))
+            digest.update((record.to_json() + "\n").encode())
+        assert digest.hexdigest() == (
+            "60c550c6e93d302054f82f7240a149b99ad58ed7fe11da791240ad36c3e92468")
 
     def test_readme_II(self):
         assert repr(solve_from_scan("II", README_II)) == (
