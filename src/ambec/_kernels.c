@@ -1,5 +1,6 @@
-/* The compiled kernels: the nonlinear substep of the split-step propagator
- * and the text rendering of the Wigner lattice.
+/* The compiled kernels: the nonlinear substep of the split-step propagator,
+ * the family II/III consistency conditions and the text rendering of the
+ * Wigner lattice.
  *
  * nonlinear_step is the C form of _kernels.numpy_step: classical RK4 of the
  * pointwise flow, one grid point at a time,
@@ -17,6 +18,15 @@
  * psi and out hold the stacked (2, n) complex field as interleaved doubles:
  * psi_a[j] at [2j, 2j+1], psi_m[j] at [2n+2j, 2n+2j+1].
  *
+ * condition_parts is the C form of consistency._numpy_condition_parts:
+ * the raw family II or III conditions and their term-magnitude scales at
+ * each point (mu, epsilon), from Gamma and C (_gamma_and_C), the A23 form of
+ * B and the A24/A25 quadratics (_b_forms) and their sums (_sum_and_scale).
+ * Each product, quotient and sum is one numpy operation there, in the same
+ * order and with the same association, and the scalar factors are formed
+ * first, as Python forms them, so the two give the same bits, inf and NaN
+ * included.  Change one only with the other.
+ *
  * lattice_row writes each W value as "%.15g" in two tiers.  A zero is
  * written directly as "0" or "-0".  g15_fast scales any other finite |W|
  * to a 15-digit integer in long double (x87's 64-bit mantissa, at its
@@ -28,6 +38,7 @@
  * narrower than 64 bits, every nonzero value goes to snprintf.
  */
 #define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
+#include <fenv.h>
 #include <float.h>
 #include <locale.h>
 #include <math.h>
@@ -93,6 +104,84 @@ void nonlinear_step(const double *psi, double *out, long n, double dt,
         om[2 * j] = y[2];
         om[2 * j + 1] = y[3];
     }
+}
+
+/* sqrt(2) to the last bit: core.SQRT2 */
+#define SQRT2 1.4142135623730951
+
+/* _sum_and_scale of three terms: their sum and the sum of their magnitudes,
+ * each left to right */
+static inline void sum_and_scale(double t0, double t1, double t2, double *s,
+                                 double *m)
+{
+    *s = t0 + t1 + t2;
+    *m = fabs(t0) + fabs(t1) + fabs(t2);
+}
+
+/* x, read back through a volatile, so that the compiler cannot relate it to
+ * the g it negates: GCC at -O2 otherwise computes g e as -(x e), which
+ * flips the sign of a NaN that numpy's g e keeps */
+static double opaque(double x)
+{
+    volatile double v = x;
+    return v;
+}
+
+/* f1, f2, s1 and s2 of family III (family II when !family_III) at the n
+ * points (mu_j, eps_j) that buf holds as the planes buf[0..n) and
+ * buf[n..2n), written into the four planes that follow them.  Like numpy
+ * under errstate(ignore), a singular point gives inf or NaN and nothing
+ * traps; the floating-point status flags are restored on return, so the
+ * flags this raised do not reach the caller's next numpy operation.
+ */
+void condition_parts(int family_III, double *buf, long n, double g_a,
+                     double g_m, double g_am, double al)
+{
+    fexcept_t flags;
+    fegetexceptflag(&flags, FE_ALL_EXCEPT);
+    const double *mu = buf, *eps = buf + n;
+    double *f1 = buf + 2 * n, *f2 = buf + 3 * n;
+    double *s1 = buf + 4 * n, *s2 = buf + 5 * n;
+    if (!family_III) {
+        const double t1c = 2.0 * g_am, t2c = -3.0 * g_a, t3 = 3.0 * al * al;
+        const double a1 = SQRT2 * g_m * al, aa = al * al, c1 = -SQRT2 * al;
+        const double a2 = g_am * al, aa4 = 4.0 * al * al, ga3 = 3.0 * g_a;
+        for (long j = 0; j < n; j++) {
+            const double m = mu[j], e = eps[j];
+            const double G = SQRT2 * (e + 6.0 * m) * al / (t1c * e + t2c * e
+                                                           + t3);
+            sum_and_scale(a1 * G * G, (aa - g_a * e) * G,
+                          c1 * (6.0 * m - e), f1 + j, s1 + j);
+            sum_and_scale(a2 * G * G, SQRT2 * (aa4 - ga3 * e) * G,
+                          -24.0 * m * al, f2 + j, s2 + j);
+        }
+    } else {
+        const double t1c = 2.0 * g_am, t2c = opaque(-g_a), t3 = al * al;
+        const double aa = al * al, k4 = 4.0 * SQRT2, k3 = 3.0 * SQRT2;
+        const double gm2 = 2.0 * g_m, gal = g_am * al;
+        const double gal2 = 2.0 * g_am * al, sga = SQRT2 * g_a;
+        for (long j = 0; j < n; j++) {
+            const double m = mu[j], e = eps[j];
+            const double den = t1c * e + t2c * e + t3;
+            const double G = SQRT2 * (e - 2.0 * m) * al / den;
+            const double C = SQRT2 * e * al / den;
+            const double two = 2.0 * m - e;
+            const double B = (k3 * m * al + (g_a * e - aa) * C)
+                             / ((aa - g_a * e) * G - k4 * m * al);
+            /* A24 */
+            const double a24 = g_m * G * G - two;
+            const double b24 = gm2 * G * C - 5.0 * m + 2.0 * e;
+            const double c24 = g_m * C * C - (3.0 * m - e);
+            /* A25 */
+            const double a25 = gal * G * G + 8.0 * m * al + sga * e * G;
+            const double b25 = gal2 * G * C + sga * e * (G + C)
+                               + 8.0 * m * al;
+            const double c25 = gal * C * C + sga * e * C;
+            sum_and_scale(B * B * a24, B * b24, c24, f1 + j, s1 + j);
+            sum_and_scale(B * B * a25, B * b25, c25, f2 + j, s2 + j);
+        }
+    }
+    fesetexceptflag(&flags, FE_ALL_EXCEPT);
 }
 
 #if LDBL_MANT_DIG >= 64

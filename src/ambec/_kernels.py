@@ -1,21 +1,25 @@
-"""Nonlinear substep kernel of the split-step propagator, and the text of
-the Wigner lattice's rows; each runs in the C library when it loads.
+"""Nonlinear substep kernel of the split-step propagator, the family II/III
+consistency conditions and the text of the Wigner lattice's rows; each runs
+in the C library when it loads.
 
 The pointwise nonlinear+coupling flow used between kinetic steps, on the
 stacked field pair psi = (psi_a, psi_m) of shape (2, n).  `nonlinear_step`
 runs it as the C loop of `_kernels.c` and falls back to `numpy_step`, the
-same loop in numpy, when that cannot be built or loaded.  `lattice_rows`
-renders the lattice rows that `manifest.write_lattice_csv` writes: in the
-same library, else by Python's `%`, the reference.  This module alone
-decides which implementation runs.
+same loop in numpy, when that cannot be built or loaded.
+`condition_parts` evaluates the conditions that `consistency`'s scan and
+Newton zero, in the same library; without it `consistency` runs
+`_numpy_condition_parts`, the reference.  `lattice_rows` renders the
+lattice rows that `manifest.write_lattice_csv` writes: in the same
+library, else by Python's `%`, the reference.  This module alone decides
+which implementation runs.
 
 The C file is compiled on the first call to `c_library` (through
-`nonlinear_step`, `lattice_rows` or `kernel_backend`), never at import,
-with the system `cc` and CFLAGS: no -march=native, no -ffast-math and no
-FMA contraction, so its output does not depend on the CPU.  The
-library goes into $XDG_CACHE_HOME/ambec (else ~/.cache/ambec) under a name
-keyed by the sha256 of the source and the flags, so later processes only
-load it.
+`nonlinear_step`, `condition_parts`, `lattice_rows` or `kernel_backend`),
+never at import, with the system `cc` and CFLAGS: no -march=native, no
+-ffast-math and no FMA contraction, so its output does not depend on the
+CPU.  The library goes into $XDG_CACHE_HOME/ambec (else ~/.cache/ambec)
+under a name keyed by the sha256 of the source and the flags, so later
+processes only load it.
 """
 from __future__ import annotations
 
@@ -151,11 +155,15 @@ def c_library():
                 raise
         lib = ctypes.CDLL(str(path))
         step, row = lib.nonlinear_step, lib.lattice_row
+        cond = lib.condition_parts
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     step.argtypes = ([ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
                      + [ctypes.c_double] * 7)
     step.restype = None
+    cond.argtypes = ([ctypes.c_int, ctypes.c_void_p, ctypes.c_long]
+                     + [ctypes.c_double] * 4)
+    cond.restype = None
     row.argtypes = [ctypes.c_char_p, ctypes.c_long, ctypes.c_char_p,
                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
                     ctypes.c_void_p, ctypes.c_long]
@@ -164,8 +172,9 @@ def c_library():
 
 
 def kernel_backend() -> str:
-    """Which implementation runs the nonlinear step and renders the Wigner
-    lattice: "c" (the C library) or "python" (numpy and Python's "%").
+    """Which implementation runs the nonlinear step, evaluates the family
+    II/III conditions and renders the Wigner lattice: "c" (the C library)
+    or "python" (numpy and Python's "%").
 
     Builds or loads the C library on first use, like nonlinear_step.
     """
@@ -187,6 +196,27 @@ def nonlinear_step(psi, dt, g_a, g_m, g_am, alpha, epsilon):
     lib.nonlinear_step(psi.ctypes.data, out.ctypes.data, psi[0].size, dt,
                        g_a, g_m, g_am, SQRT2 * alpha, alpha / SQRT2, epsilon)
     return out
+
+
+def condition_parts(family, params, mu, epsilon):
+    """The family II (else III) conditions at the points (mu, epsilon) in
+    the C library: raw f1 and f2 and their scales s1 and s2, stacked along
+    a first axis of four, each of the points' broadcast shape.  None when
+    the library does not load.
+
+    Gives the bits of `consistency._numpy_condition_parts`, which the C
+    mirrors operation for operation.  Never raises and leaves numpy's
+    floating-point state as it found it: a singular point gives inf/nan.
+    """
+    lib = c_library()
+    if lib is None:
+        return None
+    # the points, then f1, f2, s1 and s2, as planes of one buffer
+    buf = np.empty((6, *np.broadcast(mu, epsilon).shape))
+    buf[0], buf[1] = mu, epsilon
+    lib.condition_parts(family == "III", buf.ctypes.data, buf.size // 6,
+                        params.g_a, params.g_m, params.g_am, params.alpha)
+    return buf[2:]
 
 
 def lattice_rows(x_texts, p_texts, W):

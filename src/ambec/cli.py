@@ -83,7 +83,7 @@ def _check_mode(args, mode: str) -> None:
             raise ConfigurationError(f"{mode} needs {flag}")
 
 
-def cmd_solve(args) -> None:
+def cmd_solve(args) -> dict | None:
     tol = args.tol
     _check_mode(args, "family I" if args.family == "I"
                 else "a --scan solve" if args.scan
@@ -109,6 +109,8 @@ def cmd_solve(args) -> None:
     print(f"family {record.family}: mu={format_float(record.mu)} "
           f"epsilon={format_float(record.epsilon)} B={format_float(record.B)} "
           f"residual_max={record.residual_max:.3e} -> {args.out}")
+    if args.family != "I":  # the conditions ran in the kernel
+        return {"environment": {"kernel_backend": dynamics.kernel_backend()}}
 
 
 def cmd_profile(args) -> None:

@@ -18,6 +18,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import _kernels
 from .core import (SQRT2, CouplingParams, SolutionRecord, nonfinite,
                    require_finite, require_tol, validate_params)
 from .errors import (ConfigurationError, ConvergenceError,
@@ -131,7 +132,21 @@ def _sum_and_scale(*terms):
 
 
 def _condition_parts(family: str, params: CouplingParams, mu, epsilon):
-    """Raw family II/III conditions and their term-magnitude scales.
+    """Raw family II/III conditions and their term-magnitude scales, each
+    of the broadcast shape of mu and epsilon: from the C library
+    (`_kernels.condition_parts`) when it loads, else from
+    `_numpy_condition_parts`.  The two give the same bits, bar the sign and
+    payload of a NaN that a NaN input propagates."""
+    parts = _kernels.condition_parts(family, params, mu, epsilon)
+    if parts is None:
+        return _numpy_condition_parts(family, params, mu, epsilon)
+    return parts
+
+
+def _numpy_condition_parts(family: str, params: CouplingParams, mu, epsilon):
+    """_condition_parts in numpy, the reference of the C library's
+    `condition_parts`, which mirrors each operation below and in the
+    formulas it calls, in the same order; change one only with the other.
 
     Family II's two conditions need only Gamma; family III's are its A24/A25
     quadratics evaluated at the A23 form of B.
@@ -599,24 +614,26 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
     epss = np.linspace(eps_lo, eps_hi, n)
     M, E = np.meshgrid(mus, epss, indexing="ij")
     f1, f2 = _conditions(family, params, M, E)
-    finite = np.isfinite(f1) & np.isfinite(f2)
 
-    def cell_corners(F):
-        return np.stack([F[:-1, :-1], F[1:, :-1], F[:-1, 1:], F[1:, 1:]])
+    def any_corner(P):
+        """Per cell, whether P holds at any of its four corners."""
+        return P[:-1, :-1] | P[1:, :-1] | P[:-1, 1:] | P[1:, 1:]
 
-    c1, c2, ok = cell_corners(f1), cell_corners(f2), cell_corners(finite)
-    usable = ok.all(axis=0)
+    # cells whose corners are all finite and where each condition takes
+    # both signs
     with np.errstate(invalid="ignore"):
-        flips = ((c1.min(axis=0) < 0.0) & (c1.max(axis=0) > 0.0)
-                 & (c2.min(axis=0) < 0.0) & (c2.max(axis=0) > 0.0))
-    cells = usable & flips
-    score = (np.abs(c1) + np.abs(c2)).min(axis=0)
+        cells = ~any_corner(~(np.isfinite(f1) & np.isfinite(f2)))
+        for F in (f1, f2):
+            cells &= any_corner(F < 0.0) & any_corner(F > 0.0)
     ii, jj = np.nonzero(cells)
     if ii.size == 0:
         raise NoRootFoundError(
             f"no sign-change cells for family {family} in "
             f"mu {(mu_lo, mu_hi)}, epsilon {(eps_lo, eps_hi)}")
-    order = np.argsort(score[ii, jj], kind="stable")
+    # ranked by the least |f1| + |f2| over each cell's corners
+    I, J = ii + [[0], [1], [0], [1]], jj + [[0], [0], [1], [1]]
+    order = np.argsort((np.abs(f1[I, J]) + np.abs(f2[I, J])).min(axis=0),
+                       kind="stable")
     d_mu = 0.5 * (mus[1] - mus[0])
     d_eps = 0.5 * (epss[1] - epss[0])
     ii, jj = ii[order], jj[order]

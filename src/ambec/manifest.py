@@ -58,8 +58,9 @@ class RunManifest:
     """What produced a set of output files.
 
     environment holds what the outputs depend on beyond the parameters:
-    `evolve` and `wigner` record the kernel_backend that ran the nonlinear
-    substep or rendered the lattice.
+    `evolve`, `wigner` and family II/III `solve` record the kernel_backend
+    that ran the nonlinear substep, rendered the lattice or evaluated the
+    consistency conditions.
     """
 
     command: str

@@ -1275,6 +1275,8 @@ class TestParserOnce:
 #: one small invocation per command; SOLUTION stands for a family I record
 SMALL_RUNS = {
     "solve": ["solve", "--family", "I", *FIG1, "--beta", "1"],
+    "solve-II-seeded": ["solve", *CAT2_SEEDED],
+    "solve-III-scan": ["solve", "--family", "III", *CAT3, "--scan"],
     "profile": ["profile", "--solution", "SOLUTION", "--grid-n", "64"],
     "potential": ["potential", "--solution", "SOLUTION", "--grid-n", "64"],
     "residual": ["residual", "--solution", "SOLUTION", "--grid-n", "64"],
@@ -1311,8 +1313,11 @@ class TestManifests:
                               else [])
         assert man.outputs == ([out, str(tmp_path / "out.metrics.json")]
                                if command == "wigner" else [out])
+        # family II/III solves evaluate their conditions in the kernel
+        kernel_ran = command in ("evolve", "wigner") or (
+            command == "solve" and flags["family"] != "I")
         assert man.environment == ({"kernel_backend": kernel_backend()}
-                                   if command in ("evolve", "wigner") else {})
+                                   if kernel_ran else {})
         assert man.version == TOOL_VERSION
         assert man.duration_s >= 0.0
         if command in ("solve", "scan"):

@@ -496,6 +496,16 @@ class TestKernelBuild:
             timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    @needs_cc
+    def test_source_is_warning_free_iso_c(self):
+        # the source alone as ISO C99, so that no GNU extension creeps in
+        proc = subprocess.run(
+            ["cc", "-fsyntax-only", "-std=c99", "-Wall", "-Wextra",
+             "-Wpedantic", "-Werror", str(_kernels.SOURCE)],
+            capture_output=True, text=True, stdin=subprocess.DEVNULL,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("how", ["no-compiler", "cache-is-a-file"])
     def test_cli_evolve_without_the_library(self, how, fam1_record, tmp_path):
         rec = tmp_path / "rec.json"

@@ -1,6 +1,7 @@
 """Batched Newton and lazy scan seeding: same roots as the scalar loops."""
 import hashlib
 import math
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambec import consistency
+from ambec import _kernels, consistency
 from ambec.consistency import (DEFAULT_TOL, SCAN_N, _condition_parts,
                                _in_sign_scope, _newton2, default_scan_ranges,
                                default_tol, grid_scan_seed,
@@ -462,3 +463,78 @@ class TestPinnedScanRecords:
             "A=26.53003157908525, B=1.6586129065353439, "
             "D=-25.819198582480002, beta=8.890237995451653, "
             "mu=-39.51816580788611, residual_max=1.1368683772161603e-12)")
+
+
+class TestPinnedScanRecordsInNumpy(TestPinnedScanRecords):
+    """The same records from the numpy conditions, without the C library."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_conditions(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "c_library", lambda: None)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler")
+
+#: couplings, zeros included, and points that force 0/0, x/0, overflow,
+#: inf - inf and inf * 0 in the conditions
+COUPLING = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, 1.0])
+POINT = st.floats(-1e3, 1e3) | st.sampled_from(
+    [0.0, -0.0, 1.0, 0.5, -1.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308,
+     math.inf, -math.inf, math.nan, -math.nan])
+
+
+class TestConditionKernel:
+    """The C library's conditions against the numpy reference."""
+
+    @needs_cc
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(family=st.sampled_from(["II", "III"]),
+           couplings=st.tuples(COUPLING, COUPLING, COUPLING, COUPLING),
+           mu=st.lists(POINT, min_size=1, max_size=6),
+           eps=st.lists(POINT, min_size=1, max_size=6),
+           shape=st.sampled_from(["0-d", "k", "broadcast"]))
+    def test_same_bits_as_numpy(self, family, couplings, mu, eps, shape):
+        params = CouplingParams(*couplings)
+        if shape == "0-d":
+            mu, eps = np.array(mu[0]), np.array(eps[0])
+        elif shape == "k":
+            k = min(len(mu), len(eps))
+            mu, eps = np.array(mu[:k]), np.array(eps[:k])
+        else:  # as _refine_seed passes them
+            mu, eps = np.array(mu)[:, None], np.array(eps)
+        with np.errstate(all="raise"):
+            got = _kernels.condition_parts(family, params, mu, eps)
+        want = np.array(consistency._numpy_condition_parts(family, params,
+                                                           mu, eps))
+        assert got.shape == want.shape == (4, *np.broadcast(mu, eps).shape)
+        same = got.view(np.int64) == want.view(np.int64)
+        if np.isnan(mu).any() or np.isnan(eps).any():
+            # the NaN that a NaN input propagates is whichever operand's
+            # NaN numpy's SIMD loops (chosen per CPU) return: only its
+            # NaN-ness is the formula's
+            same |= np.isnan(got) & np.isnan(want)
+        assert same.all(), (got, want)
+
+    @needs_cc
+    def test_condition_parts_runs_in_c(self, monkeypatch):
+        family, params, (mu, eps) = ROOTS[5]
+        calls = []
+        monkeypatch.setattr(consistency, "_numpy_condition_parts",
+                            lambda *args: calls.append(args))
+        f1, f2, s1, s2 = _condition_parts(family, params, mu, eps)
+        assert calls == [] and abs(f1) < 1e-9 * s1 and abs(f2) < 1e-9 * s2
+
+    @needs_cc
+    @pytest.mark.parametrize("family", ["II", "III"])
+    def test_singular_point_raises_nothing(self, family):
+        # epsilon = 1 zeroes the denominator of Gamma: x/0 at mu = 1, then
+        # inf - inf; 0/0 at the origin with alpha = 0 as well
+        for alpha, point in ((1.0, 1.0), (0.0, 0.0)):
+            params = CouplingParams(1.0, 1.0, 0.0, alpha)
+            with np.errstate(all="raise"):
+                parts = _kernels.condition_parts(family, params, point, point)
+                assert not np.isfinite(parts).all()
+                # numpy's next operations see no flag the C raised
+                assert np.isfinite(np.ones(3) * 2.0 + 1.0).all()
+                np.linalg.solve(np.eye(2), np.ones(2))
