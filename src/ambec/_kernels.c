@@ -27,21 +27,26 @@
  * first, as Python forms them, so the two give the same bits, inf and NaN
  * included.  Change one only with the other.
  *
- * lattice_row writes each W value as "%.15g" in two tiers.  A zero is
- * written directly as "0" or "-0".  g15_fast scales any other finite |W|
- * to a 15-digit integer in long double (x87's 64-bit mantissa, at its
- * default extended precision control) and lays out the digits itself, but
- * only when the rounding is certain: the scaled value's error is below
- * 8e-4, so it must lie more than 1e-2 from a tie.  The values it cannot
- * decide (about 2% of arbitrary doubles, those in that band), and inf and
- * NaN, go to snprintf under a C locale.  Where long double has a mantissa
- * narrower than 64 bits, every nonzero value goes to snprintf.
+ * lattice_row writes each W value as "%.15g".  A zero is written directly
+ * as "0" or "-0".  g15_fast writes any other finite W in integer
+ * arithmetic: |W| = m 2^q from its bits, the decimal exponent from q and
+ * the leading bits of m, and the 15 digits from the 192-bit product of m
+ * with a 128-bit power of ten, truncated, from the table that _kernels.py
+ * builds from Python's exact integers.  The product's fraction is below
+ * the exact one by less than 2^-64 + 2^-73, so the rounding is certain
+ * unless that fraction lies within 2 units of 2^-64 of one half.  Those
+ * values (the exact ties among them), digits that round up to 1e15, inf
+ * and NaN go to snprintf under a C locale: none of the 2 x 262,144 values
+ * of the README lattices, and 0.02% of finite random bit patterns (exact
+ * ties, such as 501418875679361.5).  The 64x64-bit products are formed
+ * from 32-bit halves, so the file is ISO C99 and every platform with cc
+ * runs the same path.
  */
 #define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
 #include <fenv.h>
-#include <float.h>
 #include <locale.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdio.h>
 #include <string.h>
 
@@ -184,13 +189,6 @@ void condition_parts(int family_III, double *buf, long n, double g_a,
     fesetexceptflag(&flags, FE_ALL_EXCEPT);
 }
 
-#if LDBL_MANT_DIG >= 64
-/* 10^0 .. 10^27, each exact in a 64-bit mantissa (5^27 < 2^63) */
-static const long double POW10[28] = {
-    1e0L,  1e1L,  1e2L,  1e3L,  1e4L,  1e5L,  1e6L,  1e7L,  1e8L,  1e9L,
-    1e10L, 1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L,
-    1e20L, 1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
-
 /* "00" .. "99" */
 static const char DIGIT_PAIRS[] =
     "0001020304050607080910111213141516171819"
@@ -199,50 +197,115 @@ static const char DIGIT_PAIRS[] =
     "6061626364656667686970717273747576777879"
     "8081828384858687888990919293949596979899";
 
-/* a 10^k by exact powers of ten, one rounding each: at most 13 for the
- * |k| <= 339 that a double needs */
-static long double scale10(long double a, int k)
+/* 10^k as T 2^e2, with T = hi 2^64 + lo the floor of 10^k 2^-e2 in
+ * [2^127, 2^128) */
+typedef struct {
+    uint64_t hi, lo;
+    int64_t e2;
+} pow10_entry;
+
+/* 10^k for pow10_min <= k <= pow10_max, at pow10_table[k - pow10_min]:
+ * built by _kernels.py from Python's exact integers and handed over by
+ * set_pow10 before the first lattice render.  Without it g15_fast writes
+ * nothing and snprintf renders every nonzero value. */
+static const pow10_entry *pow10_table;
+static long pow10_min, pow10_max;
+
+void set_pow10(const pow10_entry *table, long kmin, long kmax)
 {
-    for (; k > 27; k -= 27)
-        a *= POW10[27];
-    for (; k < -27; k += 27)
-        a /= POW10[27];
-    return k >= 0 ? a * POW10[k] : a / POW10[-k];
+    pow10_table = table;
+    pow10_min = kmin;
+    pow10_max = kmax;
+}
+
+/* a b = *hi 2^64 + *lo, from the four products of their 32-bit halves */
+static inline void mul_64x64(uint64_t a, uint64_t b, uint64_t *hi,
+                             uint64_t *lo)
+{
+    const uint64_t h = 0xffffffffu;
+    const uint64_t a0 = a & h, a1 = a >> 32, b0 = b & h, b1 = b >> 32;
+    const uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    const uint64_t mid = (p00 >> 32) + (p01 & h) + (p10 & h);
+    *lo = mid << 32 | (p00 & h);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* s = m 2^q 10^k for m in [2^63, 2^64), cut to 64 bits below the point:
+ * returns its integer part and puts those fraction bits in *f, or returns
+ * UINT64_MAX when k is not in the table.  For the k that g15_fast asks
+ * for, s is in [1e14, 1e16), so the point lies 9 to 17 bits up the top
+ * word of the 192-bit m T. */
+static uint64_t scaled(uint64_t m, int q, int k, uint64_t *f)
+{
+    *f = 0;
+    if (k < pow10_min || k > pow10_max)
+        return UINT64_MAX;
+    const pow10_entry *p = pow10_table + (k - pow10_min);
+    uint64_t h1, l1, h0, l0;
+    mul_64x64(m, p->hi, &h1, &l1);
+    mul_64x64(m, p->lo, &h0, &l0);
+    /* m T = w2 2^128 + w1 2^64 + l0; the point is t bits up in w2 */
+    const uint64_t w1 = l1 + h0, w2 = h1 + (w1 < l1);
+    const long t = -(q + (long)p->e2) - 128;
+    /* 9 to 17 with the table that _kernels.py builds; with any other, a
+     * shift by 64 bits or more would be undefined */
+    if (t < 1 || t > 63)
+        return UINT64_MAX;
+    *f = w2 << (64 - t) | w1 >> t;
+    return w2 >> t;
 }
 
 /* The text "%.15g\n" of a finite, nonzero v, written at out without
  * snprintf; returns its length, at most 23, or 0 when the digits are not
  * certain.
  *
- * With e = floor(log10|v|), s = |v| 10^(14-e) lies in [1e14, 1e15) and
- * the 15 digits are s rounded to an integer.  The computed s carries at
- * most 14 roundings of 2^-64 relative each, so it is off by less than
- * 8e-4.  When frac(s) is more than 1e-2 from 0.5 and s is more than 1 from
- * either end of its interval, the rounded digits and e are those of the
- * exact value.  Every other v (a tie or near-tie at the 15th digit, digits
- * that round up to 1e15) returns 0, for snprintf to decide.
+ * v's bits give |v| = m 2^q with m in [2^63, 2^64).  With e =
+ * floor(log10|v|), s = |v| 10^(14-e) lies in [1e14, 1e15) and the 15
+ * digits are s rounded to an integer.  scaled forms s from the table's
+ * T <= 10^(14-e) 2^-e2 < T + 1: m T 2^(q+e2) is below s by less than
+ * m 2^(q+e2) < 2^-73, and cutting it to the 64 fraction bits f loses less
+ * than 2^-64 more.  So s - r, for r its integer part, lies in [f 2^-64,
+ * (f + 1 + 2^-9) 2^-64), and s rounds to r when f < 2^63 - 1 and to r + 1
+ * when f > 2^63.  Every f within 2 of 2^63 (that covers the exact ties at
+ * the 15th digit) returns 0, as do digits that round up to 1e15, for
+ * snprintf to decide.
  */
 static int g15_fast(double v, char *out)
 {
-    /* |v| = m 2^(b-1) with m in [1, 2).  (b - 1 + m - 1) log10(2) is the
-     * chord of log10 |v| over the binade: below it by less than 0.03, so e
-     * starts at floor(log10|v|) or one less. */
-    const double a = fabs(v);
-    int b;
-    const double m = 2.0 * frexp(a, &b);
-    int e = (int)floor((b - 2 + m) * 0.30102999566398120);
-    long double s = scale10(a, 14 - e);
-    if (s >= 1e15L) {
-        s /= 10;
-        e++;
+    const uint64_t P14 = 100000000000000u, P15 = 1000000000000000u;
+    const uint64_t HALF = (uint64_t)1 << 63;
+    if (pow10_table == NULL)
+        return 0;
+    uint64_t m;
+    memcpy(&m, &v, sizeof m);
+    const int be = (int)(m >> 52 & 0x7ff);
+    m &= ((uint64_t)1 << 52) - 1;
+    int q = -1074;
+    if (be) { /* normal: the implicit bit, then shifted to bit 63 */
+        m = (m | (uint64_t)1 << 52) << 11;
+        q = be - 1086;
+    } else {  /* subnormal */
+        for (; !(m >> 63); q--)
+            m <<= 1;
     }
-    if (!(s >= 1e14L + 1 && s < 1e15L - 1))
+    /* log2|v| = q + 63 + log2(m 2^-63) is at least L 2^-16, for L the
+     * chord q + 63 + (m 2^-63 - 1) to 16 bits: below it by less than 0.09.
+     * 1292913986 and 1292913987 bracket log10(2) 2^32, so e, L log10(2)
+     * 2^-16 rounded down, is floor(log10|v|) or one less. */
+    const int64_t L = (int64_t)(q + 63) * 65536 + (int64_t)(m >> 47) - 65536;
+    int e = L >= 0 ? (int)(L * 1292913986 >> 48)
+                   : -(int)((-L * 1292913987 + ((int64_t)1 << 48) - 1)
+                            >> 48);
+    uint64_t f, r = scaled(m, q, 14 - e, &f);
+    if (r >= P15) { /* e was one low: s is in [1e15, 1e16) */
+        e++;
+        r = scaled(m, q, 14 - e, &f);
+    }
+    if (f - (HALF - 2) <= 4)
         return 0;
-    unsigned long long r = (unsigned long long)s;
-    const long double f = s - (long double)r;
-    if (fabsl(f - 0.5L) <= 1e-2L)
+    r += f > HALF;
+    if (r < P14 || r >= P15)
         return 0;
-    r += f > 0.5L;
 
     /* the 15 digits, two at a time from each 7- and 8-digit half */
     char d[16];
@@ -293,16 +356,6 @@ static int g15_fast(double v, char *out)
     *p++ = '\n';
     return (int)(p - out);
 }
-#else
-/* without a 64-bit long double mantissa the error bound does not hold:
- * snprintf renders every value */
-static int g15_fast(double v, char *out)
-{
-    (void)v;
-    (void)out;
-    return 0;
-}
-#endif
 
 /* One lattice row "<x><p_j piece><W_j>\n" for j < np, written into buf;
  * returns the bytes written, or -1 when they do not fit in cap bytes or the
@@ -312,12 +365,13 @@ static int g15_fast(double v, char *out)
  * ptext[poff[j]] .. ptext[poff[j+1] - 1], and W holds the row's np values.
  * W_j is the text of Python's "%.15g" % W_j.  A zero is written directly,
  * "0" or "-0" by its sign bit, and g15_fast writes any other finite value
- * when it is sure of the digits; every other value (inf, NaN, a near-tie)
- * goes to snprintf("%.15g") under a C locale, made at the row's first such
- * value, so the bytes never depend on LC_NUMERIC, and any NaN is "nan"
- * (printf writes "-nan" for a NaN with its sign bit set).  Either way a
- * text must leave one byte free in buf, as snprintf's terminating NUL
- * does.
+ * when it is sure of the digits, which needs the table set_pow10 hands
+ * over; every other value (inf, NaN, a tie or near-tie at the 15th digit,
+ * any value before set_pow10) goes to snprintf("%.15g") under a C locale,
+ * made at the row's first such value, so the bytes never depend on
+ * LC_NUMERIC, and any NaN is "nan" (printf writes "-nan" for a NaN with
+ * its sign bit set).  Either way a text must leave one byte free in buf,
+ * as snprintf's terminating NUL does.
  */
 long lattice_row(const char *x, long xl, const char *ptext, const long *poff,
                  const double *W, long np, char *buf, long cap)

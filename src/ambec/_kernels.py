@@ -10,8 +10,10 @@ same loop in numpy, when that cannot be built or loaded.
 Newton zero, in the same library; without it `consistency` runs
 `_numpy_condition_parts`, the reference.  `lattice_rows` renders the
 lattice rows that `manifest.write_lattice_csv` writes: in the same
-library, else by Python's `%`, the reference.  This module alone decides
-which implementation runs.
+library, else by Python's `%`, the reference.  The library's renderer
+scales by the exact powers of ten of `pow10_table`, built from Python's
+integers on the first render and handed over once.  This module alone
+decides which implementation runs.
 
 The C file is compiled on the first call to `c_library` (through
 `nonlinear_step`, `condition_parts`, `lattice_rows` or `kernel_backend`),
@@ -40,6 +42,11 @@ CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 #: the longest "%.15g" text of a double, "-1.23456789012345e-308"
 _MAX_FLOAT_TEXT = 22
+
+#: the least and greatest k of the powers of ten 10^k that the C renderer
+#: scales by; it needs 14 - e for e from floor(log10(5e-324)) - 1 = -325,
+#: its exponent estimate's lowest, to floor(log10(DBL_MAX)) = 308
+POW10_K = (-300, 340)
 
 
 def _rhs(p, k):
@@ -155,7 +162,7 @@ def c_library():
                 raise
         lib = ctypes.CDLL(str(path))
         step, row = lib.nonlinear_step, lib.lattice_row
-        cond = lib.condition_parts
+        cond, pow10 = lib.condition_parts, lib.set_pow10
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     step.argtypes = ([ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
@@ -168,6 +175,8 @@ def c_library():
                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
                     ctypes.c_void_p, ctypes.c_long]
     row.restype = ctypes.c_long
+    pow10.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long]
+    pow10.restype = None
     return lib
 
 
@@ -219,6 +228,35 @@ def condition_parts(family, params, mu, epsilon):
     return buf[2:]
 
 
+def pow10_table() -> np.ndarray:
+    """10^k for each k of POW10_K, as T 2^e2 with T = hi 2^64 + lo the
+    floor of 10^k 2^-e2 in [2^127, 2^128), from Python's exact integers:
+    the table the C renderer scales by."""
+    rows = []
+    for k in range(POW10_K[0], POW10_K[1] + 1):
+        if k >= 0:
+            e2 = (10 ** k).bit_length() - 128
+            t = 10 ** k >> e2 if e2 >= 0 else 10 ** k << -e2
+        else:  # 10^-k is not a power of two, so t < 2^128
+            b = (10 ** -k).bit_length()
+            e2 = -127 - b
+            t = (1 << (127 + b)) // 10 ** -k
+        rows.append((t >> 64, t & (2 ** 64 - 1), e2))
+    # one row is a `pow10_entry` of `_kernels.c`
+    return np.array(rows, dtype=[("hi", np.uint64), ("lo", np.uint64),
+                                 ("e2", np.int64)])
+
+
+@functools.cache
+def _set_pow10(lib) -> np.ndarray:
+    """Hands lib the pow10_table, once per library: on the first lattice
+    render, not at the build.  The cache keeps the table alive, since the
+    library reads it in place."""
+    table = pow10_table()
+    lib.set_pow10(table.ctypes.data, *POW10_K)
+    return table
+
+
 def lattice_rows(x_texts, p_texts, W):
     """The text of each x row of a lattice as ASCII bytes, one bytes object
     per row: the lines "<x_i>,<p_j>,<W_ij>\n" for every j, with W_ij as
@@ -226,14 +264,14 @@ def lattice_rows(x_texts, p_texts, W):
 
     x_texts and p_texts are the coordinates as text; W is a float array of
     shape (len(x_texts), len(p_texts)), which `write_lattice_csv` checks
-    before the C library reads its rows.  The C library
-    renders the W values when it loads: zeros are written directly, a long
-    double fast path writes the digits it is sure of, and snprintf under the
-    C locale writes the rest (near-ties at the 15th digit, inf and NaN).
-    Otherwise one `%`
-    call per row from a preformatted p template does, the reference, and
-    the row is encoded.  Both give the same bytes; the C rows are copied
-    out of one reused buffer, so nothing is decoded.
+    before the C library reads its rows.  The C library renders the W
+    values when it loads: zeros are written directly, an exact integer
+    path writes every value whose digits it is sure of (all the values of
+    the README lattices), and snprintf under the C locale writes the rest
+    (ties and near-ties at the 15th digit, inf and NaN).  Otherwise one
+    `%` call per row from a preformatted p template does, the reference,
+    and the row is encoded.  Both give the same bytes; the C rows are
+    copied out of one reused buffer, so nothing is decoded.
     """
     W = np.ascontiguousarray(W, dtype=float)
     n_p = len(p_texts)
@@ -244,6 +282,7 @@ def lattice_rows(x_texts, p_texts, W):
         for xt, row in zip(x_texts, W):
             yield (xt.join(pieces) % tuple(row.tolist())).encode("ascii")
         return
+    _set_pow10(lib)
     pieces = [f",{t}," for t in p_texts]
     ptext = "".join(pieces).encode("ascii")
     poff = (ctypes.c_long * (n_p + 1))(*accumulate(map(len, pieces),

@@ -57,9 +57,20 @@ def _is_json_dump(node) -> bool:
                 and "dump" in {a.name for a in node.names}))
 
 
+#: os functions that open a file by flags or wrap a descriptor, whatever
+#: they are given: os.open reads its flags as numbers, not as a mode
+_OS_OPENERS = {"open", "fdopen"}
+
+
 def _is_write_open(node) -> bool:
     """A call of the builtin open whose mode writes (w, a, x or +) or is
-    not a literal."""
+    not a literal; os.open or os.fdopen, or a `from os import` of them."""
+    if ((isinstance(node, ast.Attribute)
+         and isinstance(node.value, ast.Name) and node.value.id == "os"
+         and node.attr in _OS_OPENERS)
+            or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and bool({a.name for a in node.names} & _OS_OPENERS))):
+        return True
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "open"):
         return False
@@ -120,6 +131,11 @@ def test_detects_each_form_of_write():
               "    open(p).read()\n"
               "    open(p, 'rb')\n"
               "    open(p, encoding='utf-8')\n"
-              "    json.dumps({}), json.load(open(p))\n")
+              "    json.dumps({}), json.load(open(p))\n"
+              "def k(p):\n"
+              "    os.close(os.open(p, os.O_RDONLY))\n"
+              "    return os.fdopen(3, 'r'), os.path.exists(p)\n"
+              "from os import fdopen, path\n")
     assert _found(source, _is_json_dump) == ["<module>:2", "f:4"]
-    assert _found(source, _is_write_open) == ["f:4", "g:6", "g:7", "g:8"]
+    assert _found(source, _is_write_open) == ["f:4", "g:6", "g:7", "g:8",
+                                              "k:15", "k:16", "<module>:17"]

@@ -8,6 +8,8 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +185,72 @@ class TestWriteJson:
         assert RunManifest.read(str(path)).duration_s == 0.3
 
 
+class TestRewriteInPlace:
+    """open_output rewrites an existing file in place and cuts it at the end
+    of what was written, whether the writer finishes or fails."""
+
+    HEADER, ROWS = ["v", "s"], [(0.5, "a"), (1.5, "b")]
+
+    @pytest.fixture
+    def old(self, tmp_path):
+        """An existing output, longer than anything a test writes."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old tail\n" * 10000)
+        return path
+
+    def test_longer_file_holds_only_the_new_bytes(self, old):
+        write_csv(str(old), self.HEADER, self.ROWS, "t.manifest.json")
+        assert old.read_bytes() == reference_csv(self.HEADER, self.ROWS,
+                                                 "t.manifest.json")
+
+    def test_lattice_over_a_longer_file(self, old):
+        x, p, W = np.array([0.5]), np.array([-1.0, 1.0]), np.ones((1, 2))
+        write_lattice_csv(str(old), ["x", "p", "W"], x, p, W)
+        assert old.read_bytes() == _lattice_reference(x, p, W)
+
+    def test_failed_writer_leaves_only_what_it_wrote(self, old):
+        # row 3 holds a float in the text column
+        with pytest.raises(TypeError):
+            write_csv(str(old), self.HEADER, [*self.ROWS, (2.5, 3.0)])
+        assert old.read_bytes() == reference_csv(self.HEADER, self.ROWS)
+
+    def test_symlink_is_written_through(self, old):
+        link = old.with_name("link.csv")
+        link.symlink_to(old)
+        write_csv(str(link), self.HEADER, self.ROWS)
+        assert link.is_symlink()
+        assert old.read_bytes() == reference_csv(self.HEADER, self.ROWS)
+
+    def test_hard_links_see_the_new_bytes(self, old):
+        other = old.with_name("other.csv")
+        os.link(old, other)
+        write_csv(str(old), self.HEADER, self.ROWS)
+        assert other.read_bytes() == old.read_bytes() == reference_csv(
+            self.HEADER, self.ROWS)
+
+    def test_devnull_is_written(self):
+        write_csv(os.devnull, self.HEADER, self.ROWS)
+
+    def test_fifo_is_written(self, tmp_path):
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(
+            fifo.read_bytes()))
+        reader.start()
+        write_csv(str(fifo), self.HEADER, self.ROWS)
+        reader.join(timeout=60)
+        assert got == [reference_csv(self.HEADER, self.ROWS)]
+
+    def test_unwritable_out_exits_3(self, tmp_path, capsys):
+        # a directory, not a mode: root may write where the mode says not
+        rc = main(["solve", "--family", "I", "--g-a", "3", "--g-am", "-2.8",
+                   "--alpha", "2", "--beta", "1", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ")
+
+
 def _lattice_reference(x, p, W, manifest=None, comments=()) -> bytes:
     """The x-major layout of the original command: x repeated, p tiled."""
     rows = zip(np.repeat(x, len(p)), np.tile(p, len(x)), W.ravel())
@@ -326,15 +394,39 @@ class TestWriteLatticeCsvFallback(_PythonRenderer, _LatticeChecks):
     pass
 
 
-def _around(v):
-    """v and the two doubles on either side of it."""
+def _around(v, ulps=2):
+    """v and the `ulps` doubles on either side of it."""
     out = [v]
     for direction in (-math.inf, math.inf):
         w = v
-        for _ in range(2):
+        for _ in range(ulps):
             w = math.nextafter(w, direction)
             out.append(w)
     return out
+
+
+def _ties_at_15_digits() -> list:
+    """Doubles exactly halfway between two 15-digit decimals, the least and
+    the greatest at each decimal exponent e that has one (-7 to 16).
+
+    The tie (D + 1/2) 10^(e-14), D a 15-digit integer, is n 5^(e-14)
+    2^(e-15) with n = 2D + 1 odd: a double when e >= 14 and n 5^(e-14) <
+    2^53, or when e < 14 and 5^(14-e) divides n.
+    """
+    ties = []
+    for e in range(-8, 17):
+        c = 5 ** abs(14 - e)
+        if e < 14:
+            lo, hi = -(-(2 * 10 ** 14 + 1) // c), (2 * 10 ** 15 - 1) // c
+            ms = [m for m in (lo | 1, hi - 1 + hi % 2) if lo <= m <= hi]
+        else:
+            ms = [n * c for n in (2 * 10 ** 14 + 1, 2 * 10 ** 15 - 1)
+                  if n * c < 2 ** 53]
+        for m in ms:
+            v = math.ldexp(m, e - 15)
+            assert Fraction(v) * Fraction(10) ** (14 - e) % 1 == Fraction(1, 2)
+            ties.append(v)
+    return ties
 
 
 #: doubles at or next to the C renderer's fallback band, in one sign
@@ -359,7 +451,36 @@ BAND_EDGES = [
     5e-324, 1e-323, 1.23456789012345e-310, 2.225073858507201e-308,
     2.2250738585072014e-308, 1.7976931348623157e308, 0.0, math.inf,
     math.nan,
+    # 1 to 3 ulps either side of each exact tie at the 15th digit
+    *(w for v in _ties_at_15_digits() for w in _around(v, 3)),
+    # every power of two and its neighbours: the renderer's estimate of the
+    # decimal exponent comes from the binary one
+    *(w for q in range(-1074, 1024) for w in _around(math.ldexp(1.0, q))),
+    # the least and greatest decimal exponents, -324 to -322 and 308, at
+    # the ends of the renderer's table of powers of ten
+    *(k * 5e-324 for k in range(1, 41)), *_around(1e308, 3),
+    *_around(1.7976931348623157e308, 3),
 ]
+
+
+class TestPow10Table:
+    """The powers of ten the C renderer scales by, checked against exact
+    rationals."""
+
+    def test_each_entry_is_the_truncated_power(self):
+        lo, hi = _kernels.POW10_K
+        table = _kernels.pow10_table().tolist()
+        assert len(table) == hi - lo + 1
+        for k, (t_hi, t_lo, e2) in zip(range(lo, hi + 1), table):
+            t = t_hi << 64 | t_lo
+            assert 2 ** 127 <= t < 2 ** 128
+            assert t == math.floor(Fraction(10) ** k / Fraction(2) ** e2)
+
+    def test_covers_every_double(self):
+        # 10^(14-e) for e from one below floor(log10(5e-324)) = -324, where
+        # the renderer's first estimate can start, to floor(log10(DBL_MAX))
+        lo, hi = _kernels.POW10_K
+        assert lo <= 14 - 308 and hi >= 14 + 325
 
 
 class TestFastPathEdges(_CRenderer):
