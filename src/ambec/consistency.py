@@ -38,7 +38,7 @@ SCAN_BOX_III = ((-100.0, -0.01), (-200.0, 200.0))
 #: agreement required between alternative closed forms of B at a root
 B_AGREEMENT = 1e-8
 
-#: _newton2's iteration cap, convergence bound, damping halvings and leash,
+#: _newton's iteration cap, convergence bound, damping halvings and leash,
 #: and _refine_seed's zoom levels and points per side of each level
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-12
@@ -182,21 +182,16 @@ def _conditions(family: str, params: CouplingParams, mu, eps):
         return f1 / (1.0 + s1), f2 / (1.0 + s2)
 
 
-def _newton2(parts, seeds):
-    """Damped 2-D Newton with a central finite-difference Jacobian, run
-    from every column of the (2, k) stack of (mu, epsilon) seeds at once.
+def _newton(parts, seed):
+    """Damped 2-D Newton with a central finite-difference Jacobian from one
+    (mu, epsilon) seed: returns the root or raises ConvergenceError (or the
+    FloatingPointError that its arithmetic raises under np.errstate).
 
-    Yields (c, outcome) for each seed column c as its run ends, the
-    outcome being its root or the error its run raised; a caller that has
-    what it needs may stop early.  Each column is the run it would be
-    alone: parts(V) maps a (2, k) stack to four (k,) arrays, raw residuals
-    1 and 2 and their scales, and column c must equal parts(V[:, c:c + 1])
-    bit for bit (true of any elementwise formula).  Each iteration makes
-    two parts calls for the columns still running: the four
-    finite-difference points of each, and every damping level of each line
-    search.  An iteration whose stacked solve meets a singular matrix, or
-    whose arithmetic raises a numpy floating-point error, is redone column
-    by column; a column's FloatingPointError is then its outcome.
+    parts(V) maps a (2, k) stack of points, one per column, to four (k,)
+    arrays: raw residuals 1 and 2 and their scales.  The seed is a
+    one-column stack; each iteration makes two more calls, one for the four
+    finite-difference points and one for every damping level of the line
+    search.
 
     Steps and the line search use the raw residuals under fixed row
     weights from the seed, so the merit keeps its polynomial growth away
@@ -209,116 +204,74 @@ def _newton2(parts, seeds):
     leash on |v| bound that behavior.  A few extra polishing steps after
     convergence push the root to machine precision.
     """
-    def converged(R, S):
-        """|R|/(1 + S) < _NEWTON_TOL, where R and S are finite; the max is
-        nan or inf where R is not."""
+    def converged(r, s):
+        """|r|/(1 + s) < _NEWTON_TOL, where r and s are finite; the max is
+        nan or inf where r is not."""
         with np.errstate(invalid="ignore"):  # inf/inf where not finite
-            q = (np.abs(R) / (1.0 + S)).max(axis=0)
-        return (q < _NEWTON_TOL) & np.isfinite(S).all(axis=0)
+            q = (np.abs(r) / (1.0 + s)).max()
+        return q < _NEWTON_TOL and np.isfinite(s).all()
 
-    V = np.array(seeds, dtype=float)
-    ids = np.arange(V.shape[1])
-    R, S = np.split(np.array(parts(V), dtype=float), 2)
-    W = np.where(np.isfinite(S), 1.0 / (1.0 + S), 1.0)
-    with np.errstate(over="ignore"):
-        limit = _LEASH * np.fmax(1.0, np.abs(V).max(axis=0))
+    v = np.array(seed, dtype=float)
+    raw, scale = np.array(parts(v[:, None]), dtype=float).reshape(2, 2)
+    w = np.where(np.isfinite(scale), 1.0 / (1.0 + scale), 1.0)
+    limit = _LEASH * max(1.0, float(np.abs(v).max()))
     # finite-difference points v + h_0 e_0, v - h_0 e_0, v + h_1 e_1,
     # v - h_1 e_1, and the damping levels lam = 1, 1/2, 1/4, ...
-    fd = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])[:, None]
+    fd = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
     lams = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))
-    polish_left = np.full(ids.size, 3)
-    # the merit: max |weighted raw| of a column, inf where it is not finite
-    x = np.abs(W * R)
-    merit = best = np.where(np.isfinite(x).all(axis=0), x.max(axis=0),
-                            math.inf)
-    since_best = np.zeros(ids.size, dtype=int)
-
-    def advance(cols, at_root, result, nxt):
-        """One step of the columns cols (a slice or indices): each one's
-        outcome (a root or an error) into result, or its next v, raw, scale
-        and merit into nxt."""
-        v, w, base = V[:, cols], W[:, cols], merit[cols]
+    # the merit: max |weighted raw|, inf where that is not finite
+    x = np.abs(w * raw)
+    merit = best = x.max() if np.isfinite(x).all() else math.inf
+    polish_left, since_best = 3, 0
+    for _ in range(_NEWTON_MAX_ITER):
+        at_root = converged(raw, scale)
+        if at_root:
+            if polish_left == 0:
+                return v
+            polish_left -= 1
+        elif since_best > 12:
+            raise ConvergenceError(f"Newton stagnated at residual {merit:.3e}")
         h = 1e-7 * np.maximum(1.0, np.abs(v))
-        points = (v[:, :, None] + h[:, :, None] * fd).reshape(2, -1)
-        F = np.array(parts(points)[:2], dtype=float).reshape(2, -1, 4)
+        F = np.array(parts(v[:, None] + h[:, None] * fd)[:2], dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            J = w[:, :, None] * (F[:, :, 0::2] - F[:, :, 1::2]) / (2.0 * h.T)
-        J = J.transpose(1, 0, 2)
-        b = (w * R[:, cols]).T[:, :, None]
-        finite = np.isfinite(J).all(axis=(1, 2))
-        if not finite.all():  # those columns end; solve I s = 0 for them
-            J[~finite], b[~finite] = np.eye(2), 0.0
-        step = np.linalg.solve(J, b)[:, :, 0]
-        trials = v[:, :, None] - lams * step.T[:, :, None]
-        t = np.array(parts(trials.reshape(2, -1)), dtype=float)
-        t = t.reshape(4, -1, _MAX_HALVINGS)  # raw residuals, then scales
+            J = w[:, None] * (F[:, 0::2] - F[:, 1::2]) / (2.0 * h)
+        if not np.isfinite(J).all():
+            if at_root:
+                return v
+            raise ConvergenceError("non-finite Jacobian at (mu, epsilon) = "
+                                   f"{tuple(v.tolist())}")
+        try:
+            step = np.linalg.solve(J, w * raw)
+        except np.linalg.LinAlgError:
+            if at_root:
+                return v
+            raise ConvergenceError("singular Jacobian at (mu, epsilon) = "
+                                   f"{tuple(v.tolist())}") from None
+        trials = v[:, None] - lams * step[:, None]
+        t = np.array(parts(trials), dtype=float)  # raw residuals, then scales
         # the merit of each trial: the max is nan or inf where raw is not
         # finite, as 0 < w <= 1
-        x = np.abs(w[:, :, None] * t[:2]).max(axis=0)
-        usable = ((np.abs(trials).max(axis=0) <= limit[cols, None])
-                  & (x < math.inf))
-        better = usable & (x < base[:, None])
-        k = better.argmax(axis=1)
-        go = finite & better.any(axis=1)
-        if not go.all():
-            pos = np.arange(V.shape[1])[cols]
-            for c in np.flatnonzero(~go):
-                if at_root[pos[c]]:
-                    result[pos[c]] = v[:, c]
-                elif not finite[c]:
-                    result[pos[c]] = ConvergenceError(
-                        "non-finite Jacobian at (mu, epsilon) = "
-                        f"{tuple(v[:, c])}")
-                elif not usable[c].any():
-                    result[pos[c]] = ConvergenceError(
-                        "Newton left the search region at residual "
-                        f"{base[c]:.3e}")
-                else:  # creep: the smallest usable step
-                    k[c] = _MAX_HALVINGS - 1 - usable[c, ::-1].argmax()
-        c = np.arange(k.size)
-        nxt[:6, cols] = np.concatenate([trials[:, c, k], t[:, c, k]])
-        nxt[6, cols] = x[c, k]
-
-    for _ in range(_NEWTON_MAX_ITER):
-        at_root = converged(R, S)
-        stop = np.where(at_root, polish_left == 0, since_best > 12)
-        result = {c: V[:, c] if at_root[c] else ConvergenceError(
-                      f"Newton stagnated at residual {merit[c]:.3e}")
-                  for c in np.flatnonzero(stop)} if stop.any() else {}
-        polish_left -= at_root
-        cols = np.flatnonzero(~stop) if result else slice(None)
-        nxt = np.empty((7, ids.size))
-        try:
-            advance(cols, at_root, result, nxt)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            for c in np.arange(ids.size)[cols]:
-                try:
-                    advance(slice(c, c + 1), at_root, result, nxt)
-                except np.linalg.LinAlgError:
-                    result[c] = V[:, c] if at_root[c] else ConvergenceError(
-                        "singular Jacobian at (mu, epsilon) = "
-                        f"{tuple(V[:, c])}")
-                except FloatingPointError as exc:
-                    result[c] = exc
-        V, R, S, merit = nxt[0:2], nxt[2:4], nxt[4:6], nxt[6]
-        if result:
-            keep = np.ones(ids.size, dtype=bool)
-            for c in sorted(result):
-                yield ids[c], result[c]
-                keep[c] = False
-            if not keep.any():
-                return
-            ids, V, R, S, W, limit, polish_left, best, since_best, merit = (
-                a[..., keep] for a in (ids, V, R, S, W, limit, polish_left,
-                                       best, since_best, merit))
-        gain = merit < 0.9 * best
-        best = np.where(gain, merit, best)
-        since_best = np.where(gain, 0, since_best + 1)
-    at_root = converged(R, S)
-    for c, i in enumerate(ids):
-        yield i, V[:, c] if at_root[c] else ConvergenceError(
-            f"no convergence in {_NEWTON_MAX_ITER} iterations; last residual "
-            f"{merit[c]:.3e}")
+        x = np.abs(w[:, None] * t[:2]).max(axis=0)
+        usable = (np.abs(trials).max(axis=0) <= limit) & (x < math.inf)
+        better = usable & (x < merit)
+        if better.any():
+            k = better.argmax()
+        elif at_root:
+            return v
+        elif usable.any():  # creep: the smallest usable step
+            k = _MAX_HALVINGS - 1 - usable[::-1].argmax()
+        else:
+            raise ConvergenceError("Newton left the search region at "
+                                   f"residual {merit:.3e}")
+        v, raw, scale, merit = trials[:, k], t[:2, k], t[2:, k], x[k]
+        if merit < 0.9 * best:
+            best, since_best = merit, 0
+        else:
+            since_best += 1
+    if converged(raw, scale):
+        return v
+    raise ConvergenceError(f"no convergence in {_NEWTON_MAX_ITER} iterations; "
+                           f"last residual {merit:.3e}")
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -486,20 +439,18 @@ def _solve_cat(family: str, params: CouplingParams, seed,
         raise ConfigurationError(f"family {family} seeds need "
                                  f"{_SIGN_SCOPE[family]}, got {(mu_g, eps_g)}")
 
-    (_, root), = _newton2(lambda V: _condition_parts(family, params, *V),
-                          [[mu_g], [eps_g]])
+    root = _newton(lambda V: _condition_parts(family, params, *V),
+                   (mu_g, eps_g))
     return _cat_record(family, params, root, tol)
 
 
 def _cat_record(family: str, params: CouplingParams, root,
                 tol: float) -> SolutionRecord:
-    """The record at a _newton2 outcome, which is raised if it is an error.
+    """The record at a Newton root (mu, epsilon), or the error that rejects it.
 
     At the root every closed form of B must agree with the primary one
     before the signs of B and A^2 = -sqrt(2) epsilon D / alpha are checked.
     """
-    if isinstance(root, Exception):
-        raise root
     mu, eps = map(float, root)
     if not _in_sign_scope(family, mu, eps):
         raise OutOfScopeRootError(
@@ -674,17 +625,14 @@ def default_scan_ranges(family: str, alpha: float):
 def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
                     eps_range=None, n: int = SCAN_N,
                     tol: float = DEFAULT_TOL) -> SolutionRecord:
-    """Scan for seeds, then try Newton from each candidate until one passes.
+    """Scan for seeds, then solve from each candidate until one passes.
 
     The candidates are grid_scan_seed's, in its order; seeds outside the
-    family's sign scope are skipped.  Newton runs from blocks of 1, 1, 2,
-    4, ... seeds at once, each block as large as all seeds tried before
-    it, and a seed is zoom-refined only when its block is built.  Roots are
-    checked in seed order as their runs end, and the first that passes
-    wins, so the record, or the error, is that of trying one seed after
-    another.  When every candidate fails, the NoRootFoundError counts the
-    candidates, the seeds tried and their failures by error type, and
-    quotes the last failure.
+    family's sign scope are skipped.  Each seed is zoom-refined when its
+    turn comes and tried through solve_family_II/III, so the first record
+    that passes its gate wins.  When every candidate fails, the
+    NoRootFoundError counts the candidates, the seeds tried and their
+    failures by error type, and quotes the last failure.
     """
     if family not in ("II", "III"):
         raise ConfigurationError("scan-solve applies to families II and III")
@@ -694,26 +642,18 @@ def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
     found, refine = _scan_seeds(
         params, family, d_mu if mu_range is None else mu_range,
         d_eps if eps_range is None else eps_range, n)
+    solve = solve_family_II if family == "II" else solve_family_III
     failures = Counter()
     detail = "every seed violated sign preconditions"
-    while True:
-        size, block = sum(failures.values()) or 1, []
-        while len(block) < size and (seeds := refine(size - len(block))):
-            block += [s for s in seeds if _in_sign_scope(family, *s)]
-        if not block:
-            break
-        done, turn = {}, 0
-        for c, root in _newton2(lambda V: _condition_parts(family, params, *V),
-                                np.transpose(block)):
-            done[c] = root  # checked in seed order as the runs end
-            while turn in done:
-                try:
-                    return _cat_record(family, params, done.pop(turn), tol)
-                except (ConvergenceError, OutOfScopeRootError,
-                        InconsistentRootError, SingularParameterError) as exc:
-                    failures[type(exc).__name__] += 1
-                    detail = str(exc)
-                turn += 1
+    while seeds := refine(1):
+        if not _in_sign_scope(family, *seeds[0]):
+            continue
+        try:
+            return solve(params, seeds[0], tol=tol)
+        except (ConvergenceError, OutOfScopeRootError, InconsistentRootError,
+                SingularParameterError) as exc:
+            failures[type(exc).__name__] += 1
+            detail = str(exc)
     summary = f"{found} candidates, {sum(failures.values())} tried"
     if failures:
         summary += ": " + ", ".join(f"{k} {name}"

@@ -296,6 +296,22 @@ class TestSolve:
         if message is not None:
             assert rc == 3 and message in err
 
+    @pytest.mark.parametrize("argv, line", [
+        (["--family", "II", *CAT2, "--seed-mu=-1.7e308",
+          "--seed-epsilon=-1"],
+         "error: non-finite Jacobian at (mu, epsilon) = (-1.7e+308, -1.0)"),
+        (["--family", "III", *CAT3, "--seed-mu=-1e305",
+          "--seed-epsilon=1e305"],
+         "error: singular Jacobian at (mu, epsilon) = "
+         "(9.732118441191533e+213, -5.158061523929206e+218)"),
+    ], ids=["II-non-finite-jacobian", "III-singular-jacobian"])
+    def test_newton_failure_quotes_plain_floats(self, argv, line, tmp_path,
+                                                capsys):
+        # printed each coordinate as np.float64(...)
+        rc = main(["solve", *argv, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == line + "\n"
+
     def test_out_of_scope_root(self, tmp_path):
         rc = main(["solve", "--family", "II", *CAT2,
                    "--seed-mu", "-1", "--seed-epsilon", "-5",

@@ -252,7 +252,7 @@ class TestTolerancePlumbing:
         def never(*args):
             raise AssertionError("Newton started")
 
-        monkeypatch.setattr(consistency, "_newton2", never)
+        monkeypatch.setattr(consistency, "_newton", never)
         params = CouplingParams(-5.0, 1.0, -1.1, 1.0)
         solves = [lambda: solve_family_I(3.0, -2.8, 2.0, 0.5, tol=tol),
                   lambda: solve_family_II(params, (-0.1, -0.44), tol=tol),
@@ -267,7 +267,7 @@ class TestTolerancePlumbing:
         def never(*args):
             raise AssertionError("scan or Newton started")
 
-        monkeypatch.setattr(consistency, "_newton2", never)
+        monkeypatch.setattr(consistency, "_newton", never)
         monkeypatch.setattr(consistency, "_scan_seeds", never)
         cat2 = CouplingParams(-5.0, 1.0, -1.1, 1.0)
         cat3 = CouplingParams(-1.03, -1.2, -0.8, 1.0)

@@ -1,12 +1,14 @@
-"""The package reads the process environment in one function only, and
-writes files through one opener and JSON through one writer.
+"""The package reads the process environment in one function only,
+writes files through one opener and JSON through one writer, and calls
+LAPACK in three functions only.
 
 Every input that changes an output is a flag, so the manifest records it.
 `_kernels._cache_dir` reads XDG_CACHE_HOME, where the compiled kernel is
 kept; that path changes no output.  Every output file is opened by
 `manifest.open_output`, which fixes the encoding and line ends and maps
 OSError to exit 3, and every JSON file is written by `manifest.write_json`,
-which fixes its layout.
+which fixes its layout.  LAPACK's kernels are picked per CPU at run time,
+so each result that passes through one is listed here.
 """
 import ast
 import pathlib
@@ -84,6 +86,32 @@ def _is_write_open(node) -> bool:
 WRITERS = {_is_json_dump: "write_json", _is_write_open: "open_output"}
 
 
+#: numpy names that reach LAPACK: np.linalg.*, and np.roots, which takes
+#: the eigenvalues of the companion matrix
+_LAPACK = {"linalg", "roots"}
+
+#: module file -> the functions in it that may call LAPACK: Newton's 2x2
+#: solve, the B quadratics' roots (gating agreement at 1e-8, writing no
+#: bytes) and the quartic least-squares fit
+LAPACK_CALLERS = {"consistency.py": {"_newton", "_nearest_real_root"},
+                  "potentials.py": {"quartic_fit"}}
+
+
+def _is_lapack(node) -> bool:
+    """np.linalg or np.roots (also as numpy.), an import of numpy.linalg,
+    or a `from numpy import` of either."""
+    return ((isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id in ("np", "numpy") and node.attr in _LAPACK)
+            or (isinstance(node, ast.ImportFrom) and node.module is not None
+                and (node.module.startswith("numpy.linalg")
+                     or (node.module == "numpy"
+                         and bool({a.name for a in node.names} & _LAPACK))))
+            or (isinstance(node, ast.Import)
+                and any(a.name.startswith("numpy.linalg")
+                        for a in node.names)))
+
+
 def _environment_reads(source: str) -> list[str]:
     return _found(source, _is_environment_read)
 
@@ -101,6 +129,13 @@ def test_json_dump_and_write_open_only_where_allowed(path):
     for match, allowed in WRITERS.items():
         found = {w.split(":")[0] for w in _found(source, match)}
         assert found == ({allowed} if path.name == "manifest.py" else set())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lapack_called_only_where_allowed(path):
+    found = {w.split(":")[0]
+             for w in _found(path.read_text(encoding="utf-8"), _is_lapack)}
+    assert found == LAPACK_CALLERS.get(path.name, set())
 
 
 def test_detects_each_form_of_read():
@@ -139,3 +174,21 @@ def test_detects_each_form_of_write():
     assert _found(source, _is_json_dump) == ["<module>:2", "f:4"]
     assert _found(source, _is_write_open) == ["f:4", "g:6", "g:7", "g:8",
                                               "k:15", "k:16", "<module>:17"]
+
+
+def test_detects_each_form_of_lapack():
+    source = ("import numpy as np\n"
+              "import numpy.linalg\n"
+              "from numpy import linalg, sqrt\n"
+              "from numpy.linalg import solve\n"
+              "def f(a, b):\n"
+              "    return np.linalg.solve(a, b), numpy.linalg.norm(a)\n"
+              "def g(c):\n"
+              "    try:\n"
+              "        return np.roots(c)\n"
+              "    except np.linalg.LinAlgError:\n"
+              "        return np.sqrt(c), np.polyval(c, 1.0)\n"
+              "from numpy import roots\n")
+    assert _found(source, _is_lapack) == [
+        "<module>:2", "<module>:3", "<module>:4", "f:6", "f:6", "g:9",
+        "g:10", "<module>:12"]

@@ -1,4 +1,4 @@
-"""Batched Newton and lazy scan seeding: same roots as the scalar loops."""
+"""One-seed Newton and lazy scan seeding: same roots as the scalar loops."""
 import hashlib
 import math
 import shutil
@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambec import _kernels, consistency
-from ambec.consistency import (DEFAULT_TOL, SCAN_N, _condition_parts,
-                               _in_sign_scope, _newton2, default_scan_ranges,
-                               default_tol, grid_scan_seed,
-                               normalized_residuals, solve_family_II,
-                               solve_family_III, solve_from_scan)
+from ambec.consistency import (_MAX_HALVINGS, DEFAULT_TOL, SCAN_N,
+                               _condition_parts, _in_sign_scope, _newton,
+                               default_scan_ranges, default_tol,
+                               grid_scan_seed, normalized_residuals,
+                               solve_family_II, solve_family_III,
+                               solve_from_scan)
 from ambec.core import CouplingParams
 from ambec.errors import (AmbecError, ConfigurationError, ConvergenceError,
                           InconsistentRootError, NoRootFoundError,
@@ -65,14 +66,14 @@ def reference_newton2(parts, v0, max_iter=100, tol=1e-12, max_halvings=30,
             if at_root:
                 return v
             raise ConvergenceError(
-                f"non-finite Jacobian at (mu, epsilon) = {tuple(v)}")
+                f"non-finite Jacobian at (mu, epsilon) = {tuple(v.tolist())}")
         try:
             step = np.linalg.solve(J, weights * raw)
         except np.linalg.LinAlgError:
             if at_root:
                 return v
             raise ConvergenceError(
-                f"singular Jacobian at (mu, epsilon) = {tuple(v)}") from None
+                f"singular Jacobian at (mu, epsilon) = {tuple(v.tolist())}") from None
         base = merit(raw)
         lam = 1.0
         taken = None
@@ -135,19 +136,19 @@ def _describe(outcome):
     return [float(x).hex() for x in outcome]
 
 
-def _reference(parts, seed):
+def _outcome(newton, parts, seed):
+    """newton's root from the seed, or the error it raised, described."""
     try:
-        return _describe(reference_newton2(parts, seed))
+        return _describe(newton(parts, seed))
     except (AmbecError, FloatingPointError) as exc:
         return _describe(exc)
 
 
-def _block(parts, seeds):
-    """_newton2's outcome for each seed, from one (2, k) stack, in seed
-    order; each seed is yielded once."""
-    ended = list(_newton2(parts, np.transpose(seeds)))
-    assert sorted(c for c, _ in ended) == list(range(len(seeds)))
-    return [_describe(o) for _, o in sorted(ended, key=lambda e: e[0])]
+def _same_as_reference(parts, seed):
+    """_newton's outcome, checked against reference_newton2's."""
+    got = _outcome(_newton, parts, seed)
+    assert got == _outcome(reference_newton2, parts, seed)
+    return got
 
 
 def _parts(index):
@@ -162,43 +163,35 @@ FACTORS = st.tuples(st.floats(0.3, 3.0), st.floats(-3.0, 3.0))
 
 
 class TestBatchedNewton:
+    """One seed's Newton, whose parts calls each take a stack of points,
+    against the one-point-at-a-time reference."""
+
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(index=st.integers(0, len(ROOTS) - 1), factors=FACTORS)
     def test_same_root_bits_as_scalar_loop(self, index, factors):
         mu, eps = ROOTS[index][2]
-        seed = (mu * factors[0], eps * factors[1])
-        assert _block(_parts(index), [seed]) == [_reference(_parts(index), seed)]
-
-    @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(index=st.integers(0, len(ROOTS) - 1),
-           factors=st.lists(FACTORS, min_size=2, max_size=9))
-    def test_each_column_is_its_scalar_run(self, index, factors):
-        mu, eps = ROOTS[index][2]
-        seeds = [(mu * f_mu, eps * f_eps) for f_mu, f_eps in factors]
-        parts = _parts(index)
-        assert _block(parts, seeds) == [_reference(parts, s) for s in seeds]
+        _same_as_reference(_parts(index), (mu * factors[0], eps * factors[1]))
 
     @pytest.mark.parametrize("index", range(len(ROOTS)))
     def test_root_seed_converges_to_same_bits(self, index):
-        root = ROOTS[index][2]
-        got = _block(_parts(index), [root])[0]
-        assert isinstance(got, list)
-        assert got == _reference(_parts(index), root)
+        assert isinstance(_same_as_reference(_parts(index), ROOTS[index][2]),
+                          list)
 
     @pytest.mark.parametrize("index", range(len(ROOTS)))
     def test_parts_sees_only_two_row_stacks(self, index):
         mu, eps = ROOTS[index][2]
-        args = []
+        shapes = []
 
         def parts(v):
-            args.append(np.array(v))
+            shapes.append(np.shape(v))
             return _parts(index)(v)
 
-        seeds = [(mu * 1.5, eps * 0.5), (mu, eps), (mu * 3.0, -eps)]
-        list(_newton2(parts, np.transpose(seeds)))
-        assert args[0].shape == (2, 3)
-        assert all(a.ndim == 2 and a.shape[0] == 2 for a in args), [
-            a.shape for a in args]
+        _outcome(_newton, parts, (mu * 1.5, eps * 0.5))
+        # the seed, then per iteration the four finite-difference points
+        # and every damping level
+        assert shapes[0] == (2, 1) and len(shapes) >= 3, shapes
+        assert set(shapes[1::2]) == {(2, 4)}, shapes
+        assert set(shapes[2::2]) == {(2, _MAX_HALVINGS)}, shapes
 
     def test_stack_is_evaluated_column_by_column(self):
         family, params, (mu, eps) = ROOTS[3]
@@ -209,29 +202,26 @@ class TestBatchedNewton:
             assert [float(a[c]) for a in stacked] == [float(a) for a in alone]
 
     def test_singular_column_is_solved_alone(self):
-        # mu = 0 makes the Jacobian of (mu + eps, mu^2) exactly singular,
-        # so the stacked solve raises and the step is redone per column
+        # mu = 0 makes the Jacobian of (mu + eps, mu^2) exactly singular
         def parts(v):
             f1, f2 = v[0] + v[1], v[0] * v[0]
             return f1, f2, np.abs(v[0]) + np.abs(v[1]), f2
 
-        seeds = [(0.5, 1.0), (0.0, 1.0), (-2.0, 3.0)]
-        got = _block(parts, seeds)
-        assert got == [_reference(parts, s) for s in seeds]
-        assert got[1][0] == "ConvergenceError"
-        assert got[1][1].startswith("singular Jacobian at (mu, epsilon) = ")
+        for seed in [(0.5, 1.0), (-2.0, 3.0)]:
+            _same_as_reference(parts, seed)
+        assert _same_as_reference(parts, (0.0, 1.0)) == (
+            "ConvergenceError", "singular Jacobian at (mu, epsilon) = (0.0, 1.0)")
 
     def test_floating_point_error_stays_in_its_column(self):
         # the finite-difference points of the first seed overflow
         def parts(v):
             return v[0] - 1.0, v[1] - 2.0, np.abs(v[0]), np.abs(v[1])
 
-        seeds = [(1.7976931348623157e308, 1.0), (3.0, 5.0)]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = _block(parts, seeds)
-            assert got == [_reference(parts, s) for s in seeds]
-        assert got[0] == ("FloatingPointError", "overflow encountered in add")
-        assert got[1] == ["0x1.0000000000000p+0", "0x1.0000000000000p+1"]
+            assert _same_as_reference(parts, (1.7976931348623157e308, 1.0)) == (
+                "FloatingPointError", "overflow encountered in add")
+            assert _same_as_reference(parts, (3.0, 5.0)) == [
+                "0x1.0000000000000p+0", "0x1.0000000000000p+1"]
 
 
 def _counting(monkeypatch, name):
@@ -252,10 +242,9 @@ def _cells(refine_calls):
     return sum(len(args[2]) for args in refine_calls)
 
 
-def _seeds_tried(newton_calls):
-    """The seeds of each logged _newton2 call, one list per block."""
-    return [[tuple(map(float, col)) for col in np.transpose(args[1])]
-            for args in newton_calls]
+def _seeds_tried(solve_calls):
+    """The seed of each logged solve_family_II/III call."""
+    return [tuple(map(float, args[1])) for args in solve_calls]
 
 
 class TestLazySeeding:
@@ -264,39 +253,36 @@ class TestLazySeeding:
                                *default_scan_ranges("III", 1.0))
         assert len(seeds) == 74
         refined = _counting(monkeypatch, "_refine_seed")
-        tried = _counting(monkeypatch, "_newton2")
+        tried = _counting(monkeypatch, "solve_family_III")
         rec = solve_from_scan("III", README_III)
         # the first seed lies outside mu < 0 and is skipped untried; the
         # second wins
         assert not _in_sign_scope("III", *seeds[0])
-        assert _seeds_tried(tried) == [[seeds[1]]]
+        assert _seeds_tried(tried) == [seeds[1]]
         assert _cells(refined) == 2
         assert (rec.mu, rec.epsilon) == (-39.51816580788611, 19.27603819675771)
 
     def test_readme_II_refines_one_cell(self, monkeypatch):
         refined = _counting(monkeypatch, "_refine_seed")
-        tried = _counting(monkeypatch, "_newton2")
+        tried = _counting(monkeypatch, "solve_family_II")
         solve_from_scan("II", README_II)
         assert _cells(refined) == 1
-        assert [len(block) for block in _seeds_tried(tried)] == [1]
+        assert len(_seeds_tried(tried)) == 1
 
     def test_full_list_is_the_order_seeds_are_tried(self, monkeypatch):
         seeds = grid_scan_seed(README_III, "III",
                                *default_scan_ranges("III", 1.0))
-        blocks = []
+        tried = []
 
-        def always_fails(parts, stack):
-            blocks.append([tuple(map(float, col)) for col in stack.T])
-            return [(c, ConvergenceError("rejected"))
-                    for c in range(stack.shape[1])]
+        def always_fails(params, seed, *, tol):
+            tried.append(tuple(map(float, seed)))
+            raise ConvergenceError("rejected")
 
-        monkeypatch.setattr(consistency, "_newton2", always_fails)
+        monkeypatch.setattr(consistency, "solve_family_III", always_fails)
         with pytest.raises(NoRootFoundError) as e:
             solve_from_scan("III", README_III)
         in_scope = [s for s in seeds if _in_sign_scope("III", *s)]
-        # blocks of 1, 1, 2, 4, ...: each as large as all before it
-        assert [len(b) for b in blocks] == [1, 1, 2, 4, 8, 16, 32, 9]
-        assert sum(blocks, []) == in_scope and len(in_scope) == 73
+        assert tried == in_scope and len(in_scope) == 73
         assert "(74 candidates, 73 tried: 73 ConvergenceError)" in str(e.value)
         assert str(e.value).endswith("; last failure: rejected")
 
@@ -370,8 +356,8 @@ SCAN_BASES = (
 
 
 class TestScanSolveOracle:
-    """Blocks of seeds give the record, or the error, of one seed after
-    another; small scans make the failure paths run."""
+    """solve_from_scan gives the record, or the error, of one seeded solve
+    after another; small scans make the failure paths run."""
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(base=st.sampled_from(SCAN_BASES),
