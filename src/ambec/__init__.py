@@ -4,6 +4,7 @@ Closed-form localized solutions of the coupled mean-field equations, the
 algebraic consistency conditions that pin their parameters, self-consistent
 potentials, split-step propagation, and Wigner phase-space diagnostics.
 """
+from ._kernels import kernel_backend
 from .ansatz import (half_width_99, mu_critical, petrov_profile,
                      PetrovParams, rational_profile, sample_fields,
                      superposed_profile)
@@ -13,7 +14,7 @@ from .consistency import (check_consistency, default_tol, grid_scan_seed,
 from .core import (CouplingParams, Diagnostics, FieldPair, Grid,
                    SolutionRecord, validate_params)
 from .dynamics import (PropagatorConfig, conserved_number, default_grid,
-                       evolve, kernel_backend, make_grid, mean_field_energy)
+                       evolve, make_grid, mean_field_energy)
 from .errors import (AmbecError, BlowUpError, ConfigurationError,
                      ConvergenceError, InconsistentRootError,
                      InstabilityError, NoDropletError, NoRootFoundError,

@@ -20,7 +20,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from . import ansatz, consistency, dynamics, potentials, wigner
+from . import _kernels, ansatz, consistency, dynamics, potentials, wigner
 from .core import (CouplingParams, Diagnostics, Grid, SolutionRecord,
                    require_finite, require_tol)
 from .errors import (AmbecError, ConfigurationError, NoDropletError,
@@ -110,7 +110,7 @@ def cmd_solve(args) -> dict | None:
           f"epsilon={format_float(record.epsilon)} B={format_float(record.B)} "
           f"residual_max={record.residual_max:.3e} -> {args.out}")
     if args.family != "I":  # the conditions ran in the kernel
-        return {"environment": {"kernel_backend": dynamics.kernel_backend()}}
+        return {"environment": {"kernel_backend": _kernels.kernel_backend()}}
 
 
 def cmd_profile(args) -> None:
@@ -157,7 +157,7 @@ def cmd_evolve(args) -> dict:
     last = diags[-1]
     print(f"evolved to t={format_float(last.t)}: drift_a={last.drift_a:.3e} "
           f"drift_m={last.drift_m:.3e} -> {args.out}")
-    return {"environment": {"kernel_backend": dynamics.kernel_backend()}}
+    return {"environment": {"kernel_backend": _kernels.kernel_backend()}}
 
 
 def cmd_wigner(args) -> dict:
@@ -205,7 +205,7 @@ def cmd_wigner(args) -> dict:
           f"negative_volume={format_float(metrics.negative_volume)} "
           f"-> {args.out}, {metrics_path}")
     return {"outputs": [args.out, metrics_path],
-            "environment": {"kernel_backend": dynamics.kernel_backend()}}
+            "environment": {"kernel_backend": _kernels.kernel_backend()}}
 
 
 def cmd_scan(args) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 
@@ -430,7 +429,12 @@ def solve_family_I(g_a: float, g_am: float, alpha: float, beta: float,
 
 def _solve_cat(family: str, params: CouplingParams, seed,
                tol: float) -> SolutionRecord:
-    """Newton-solve a family II/III system from a (mu, epsilon) seed."""
+    """Newton-solve a family II/III system from a (mu, epsilon) seed: the
+    record at the root, or the error that rejects it.
+
+    At the root every closed form of B must agree with the primary one
+    before the signs of B and A^2 = -sqrt(2) epsilon D / alpha are checked.
+    """
     mu_g, eps_g = float(seed[0]), float(seed[1])
     _require_admissible(params, family, seed_mu=mu_g, seed_epsilon=eps_g,
                         tol=tol)
@@ -439,19 +443,8 @@ def _solve_cat(family: str, params: CouplingParams, seed,
         raise ConfigurationError(f"family {family} seeds need "
                                  f"{_SIGN_SCOPE[family]}, got {(mu_g, eps_g)}")
 
-    root = _newton(lambda V: _condition_parts(family, params, *V),
-                   (mu_g, eps_g))
-    return _cat_record(family, params, root, tol)
-
-
-def _cat_record(family: str, params: CouplingParams, root,
-                tol: float) -> SolutionRecord:
-    """The record at a Newton root (mu, epsilon), or the error that rejects it.
-
-    At the root every closed form of B must agree with the primary one
-    before the signs of B and A^2 = -sqrt(2) epsilon D / alpha are checked.
-    """
-    mu, eps = map(float, root)
+    mu, eps = map(float, _newton(
+        lambda V: _condition_parts(family, params, *V), (mu_g, eps_g)))
     if not _in_sign_scope(family, mu, eps):
         raise OutOfScopeRootError(
             f"root (mu, epsilon) = {(mu, eps)} violates {_SIGN_SCOPE[family]}")
@@ -512,31 +505,26 @@ def _nearest_real_root(coefs, target: float, label: str) -> float:
     return min(real, key=lambda r: abs(r - target))
 
 
-def _refine_seed(family: str, params: CouplingParams, mu_c, eps_c,
-                 d_mu: float, d_eps: float) -> list:
-    """Zoom toward the joint zero of both conditions inside scan cells.
+def _refine_seed(family: str, params: CouplingParams, mu, eps,
+                 d_mu: float, d_eps: float) -> tuple:
+    """Zoom toward the joint zero of both conditions inside one scan cell.
 
-    mu_c and eps_c hold the cells' centres; the seeds come back as a list
-    of (mu, epsilon).  Each level re-grids a square window around each
-    cell's current best point and shrinks it 4x, because the Newton basins
-    of the steepest roots are narrower than a coarse scan cell.  The cells
-    are refined together, each on its own window.
+    mu and eps are the cell's centre, d_mu and d_eps its half-widths; the
+    seed comes back as (mu, epsilon).  Each level re-grids a square window
+    around the current best point and shrinks it 4x, because the Newton
+    basins of the steepest roots are narrower than a coarse scan cell.
     """
     for _ in range(_REFINE_LEVELS):
-        mus = np.array([np.linspace(m - d_mu, m + d_mu, _REFINE_POINTS)
-                        for m in mu_c])
-        epss = np.array([np.linspace(e - d_eps, e + d_eps, _REFINE_POINTS)
-                         for e in eps_c])
-        f1, f2 = _conditions(family, params, mus[:, :, None], epss[:, None])
+        mus = np.linspace(mu - d_mu, mu + d_mu, _REFINE_POINTS)
+        epss = np.linspace(eps - d_eps, eps + d_eps, _REFINE_POINTS)
+        f1, f2 = _conditions(family, params, mus[:, None], epss)
         score = np.abs(f1) + np.abs(f2)
         score = np.where(np.isfinite(score), score, np.inf)
-        i, j = np.divmod(score.reshape(len(mus), -1).argmin(axis=1),
-                         _REFINE_POINTS)
-        c = np.arange(len(mus))
-        mu_c, eps_c = mus[c, i], epss[c, j]
+        i, j = divmod(score.argmin(), _REFINE_POINTS)
+        mu, eps = mus[i], epss[j]
         d_mu /= 0.5 * (_REFINE_POINTS - 1)
         d_eps /= 0.5 * (_REFINE_POINTS - 1)
-    return list(zip(mu_c.tolist(), eps_c.tolist()))
+    return float(mu), float(eps)
 
 
 def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
@@ -545,8 +533,8 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
 
     Checks the family and the box and scans it at once, raising
     NoRootFoundError when no cell changes sign.  Returns the number of
-    sign-change cells and refine(k), which zoom-refines the next k cells,
-    best cell first, and returns their seeds (none once all are taken).
+    sign-change cells and a generator of their (mu, epsilon) seeds, best
+    cell first, that zoom-refines each cell only when its seed is drawn.
     """
     if family == "I":
         raise ConfigurationError("family I is closed form; it takes no scan")
@@ -563,8 +551,7 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
         raise ConfigurationError("scan needs n >= 2")
     mus = np.linspace(mu_lo, mu_hi, n)
     epss = np.linspace(eps_lo, eps_hi, n)
-    M, E = np.meshgrid(mus, epss, indexing="ij")
-    f1, f2 = _conditions(family, params, M, E)
+    f1, f2 = _conditions(family, params, mus[:, None], epss)
 
     def any_corner(P):
         """Per cell, whether P holds at any of its four corners."""
@@ -590,12 +577,8 @@ def _scan_seeds(params: CouplingParams, family: str, mu_range, eps_range,
     ii, jj = ii[order], jj[order]
     centres = zip(0.5 * (mus[ii] + mus[ii + 1]),
                   0.5 * (epss[jj] + epss[jj + 1]))
-
-    def refine(k):
-        cells = list(islice(centres, k))
-        return (_refine_seed(family, params, *zip(*cells), d_mu, d_eps)
-                if cells else [])
-    return ii.size, refine
+    return ii.size, (_refine_seed(family, params, mu, eps, d_mu, d_eps)
+                     for mu, eps in centres)
 
 
 def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
@@ -605,11 +588,12 @@ def grid_scan_seed(params: CouplingParams, family: str, mu_range, eps_range,
     Returns the (mu, epsilon) seeds of every sign-change cell, ordered by
     how small the conditions already are (best first), for feeding the
     Newton solvers.  Each seed is the zoom-refined interior minimum of its
-    cell, not the bare cell center.  solve_from_scan tries the same seeds
-    in the same order but refines only the cells it gets to.
+    cell, not the bare cell center.  solve_from_scan draws the same seeds
+    in the same order from _scan_seeds but refines only the cells it gets
+    to; this list refines them all.
     """
-    found, refine = _scan_seeds(params, family, mu_range, eps_range, n)
-    return refine(found)
+    _, seeds = _scan_seeds(params, family, mu_range, eps_range, n)
+    return list(seeds)
 
 
 def default_scan_ranges(family: str, alpha: float):
@@ -639,17 +623,17 @@ def solve_from_scan(family: str, params: CouplingParams, mu_range=None,
     require_finite(tol=tol)
     require_tol(tol)
     d_mu, d_eps = default_scan_ranges(family, params.alpha)
-    found, refine = _scan_seeds(
+    found, seeds = _scan_seeds(
         params, family, d_mu if mu_range is None else mu_range,
         d_eps if eps_range is None else eps_range, n)
     solve = solve_family_II if family == "II" else solve_family_III
     failures = Counter()
     detail = "every seed violated sign preconditions"
-    while seeds := refine(1):
-        if not _in_sign_scope(family, *seeds[0]):
+    for seed in seeds:
+        if not _in_sign_scope(family, *seed):
             continue
         try:
-            return solve(params, seeds[0], tol=tol)
+            return solve(params, seed, tol=tol)
         except (ConvergenceError, OutOfScopeRootError, InconsistentRootError,
                 SingularParameterError) as exc:
             failures[type(exc).__name__] += 1

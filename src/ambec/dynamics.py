@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import kernel_backend, nonlinear_step  # noqa: F401
+from ._kernels import nonlinear_step
 from .core import SQRT2, CouplingParams, Diagnostics, FieldPair, Grid
 from .errors import BlowUpError, ConfigurationError, InstabilityError
 

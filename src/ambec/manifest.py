@@ -2,15 +2,16 @@
 
 Every data file the CLI writes is paired with a manifest JSON recording
 the command, its full parameter set, tool version, file paths, wall time
-and, for `evolve` and `wigner`, the kernel backend; `cli.main` assembles
-the one RunManifest of each run.  Data files themselves are byte-identical
-across reruns; only the manifest's duration field may differ.  Each format
-has one writer: `write_csv` (row by row, so a TypeError can leave a partly
-written file), `write_lattice_csv` (row bytes from `_kernels.lattice_rows`,
-the C or the Python renderer, written to the file's binary layer) and
-`write_json`.  All of them open their file with `open_output`, which
-rewrites an existing regular file in place and cuts it at the end of what
-was written, so a rerun leaves the bytes that "w" would.
+and, for `evolve`, `wigner` and family II/III `solve`, the kernel backend;
+`cli.main` assembles the one RunManifest of each run.  Data files
+themselves are byte-identical across reruns; only the manifest's duration
+field may differ.  Each format has one writer: `write_csv` (row by row, so
+a TypeError can leave a partly written file), `write_lattice_csv` (row
+bytes from `_kernels.lattice_rows`, the C or the Python renderer, written
+to the file's binary layer) and `write_json`.  All of them open their file
+with `open_output`, which rewrites an existing regular file in place and
+cuts it at the end of what was written, so a rerun leaves the bytes that
+"w" would.
 """
 from __future__ import annotations
 

@@ -15,11 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambec import cli
+from ambec._kernels import kernel_backend
 from ambec.ansatz import SUPERPOSED_KINDS, mu_critical
 from ambec.cli import build_parser, main
 from ambec.consistency import solve_family_I
 from ambec.core import RECORD_KEYS, CouplingParams, SolutionRecord
-from ambec.dynamics import kernel_backend
 from ambec.errors import (NoDropletError, OutOfScopeRegimeError,
                           TruncationWarning)
 from ambec.manifest import TOOL_VERSION, RunManifest, read_csv, write_csv

@@ -12,14 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ambec import _kernels, dynamics
-from ambec._kernels import nonlinear_step, numpy_step
+from ambec._kernels import kernel_backend, nonlinear_step, numpy_step
 from ambec.ansatz import sample_fields
 from ambec.cli import main
 from ambec.consistency import solve_family_I
 from ambec.core import CouplingParams, FieldPair, Grid
 from ambec.dynamics import (PropagatorConfig, conserved_number, default_grid,
-                            evolve, kernel_backend, make_grid,
-                            mean_field_energy)
+                            evolve, make_grid, mean_field_energy)
 from ambec.errors import BlowUpError, ConfigurationError, InstabilityError
 
 

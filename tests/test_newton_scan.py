@@ -22,8 +22,8 @@ from ambec.errors import (AmbecError, ConfigurationError, ConvergenceError,
                           OutOfScopeRootError, SingularParameterError)
 
 
-def reference_newton2(parts, v0, max_iter=100, tol=1e-12, max_halvings=30,
-                      leash=1e3):
+def reference_newton(parts, v0, max_iter=100, tol=1e-12, max_halvings=30,
+                     leash=1e3):
     """The damped Newton iteration one point at a time: two parts() calls
     per Jacobian column and one per damping level tried."""
     def combine(v):
@@ -145,9 +145,9 @@ def _outcome(newton, parts, seed):
 
 
 def _same_as_reference(parts, seed):
-    """_newton's outcome, checked against reference_newton2's."""
+    """_newton's outcome, checked against reference_newton's."""
     got = _outcome(_newton, parts, seed)
-    assert got == _outcome(reference_newton2, parts, seed)
+    assert got == _outcome(reference_newton, parts, seed)
     return got
 
 
@@ -163,7 +163,7 @@ FACTORS = st.tuples(st.floats(0.3, 3.0), st.floats(-3.0, 3.0))
 
 
 class TestBatchedNewton:
-    """One seed's Newton, whose parts calls each take a stack of points,
+    """One seed's Newton, whose parts calls each batch a stack of points,
     against the one-point-at-a-time reference."""
 
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -238,8 +238,8 @@ def _counting(monkeypatch, name):
 
 
 def _cells(refine_calls):
-    """The number of scan cells the logged _refine_seed calls refined."""
-    return sum(len(args[2]) for args in refine_calls)
+    """The number of scan cells refined: one per logged _refine_seed call."""
+    return len(refine_calls)
 
 
 def _seeds_tried(solve_calls):
@@ -286,17 +286,6 @@ class TestLazySeeding:
         assert "(74 candidates, 73 tried: 73 ConvergenceError)" in str(e.value)
         assert str(e.value).endswith("; last failure: rejected")
 
-    @pytest.mark.parametrize("family, params", [
-        ("II", README_II), ("III", README_III), ROOTS[3][:2]])
-    def test_cells_refined_together_as_one_by_one(self, family, params):
-        box = default_scan_ranges(family, params.alpha)
-        together = grid_scan_seed(params, family, *box)
-        _, refine = consistency._scan_seeds(params, family, *box, SCAN_N)
-        alone = []
-        while seed := refine(1):
-            alone += seed
-        assert together == alone and len(alone) > 1
-
     def test_no_cells_raised_before_any_seed(self, monkeypatch):
         refined = _counting(monkeypatch, "_refine_seed")
         with pytest.raises(NoRootFoundError, match="no sign-change cells"):
@@ -312,14 +301,13 @@ def reference_solve_from_scan(family, params, mu_range=None, eps_range=None,
     if family not in ("II", "III"):
         raise ConfigurationError("scan-solve applies to families II and III")
     d_mu, d_eps = default_scan_ranges(family, params.alpha)
-    found, refine = consistency._scan_seeds(
+    found, seeds = consistency._scan_seeds(
         params, family, d_mu if mu_range is None else mu_range,
         d_eps if eps_range is None else eps_range, n)
     solve = solve_family_II if family == "II" else solve_family_III
     failures = Counter()
     detail = "every seed violated sign preconditions"
-    while seed := refine(1):
-        mu_g, eps_g = seed[0]
+    for mu_g, eps_g in seeds:
         if not _in_sign_scope(family, mu_g, eps_g):
             continue
         try:
@@ -449,6 +437,38 @@ class TestPinnedScanRecords:
             "A=26.53003157908525, B=1.6586129065353439, "
             "D=-25.819198582480002, beta=8.890237995451653, "
             "mu=-39.51816580788611, residual_max=1.1368683772161603e-12)")
+
+
+class TestPinnedScanSeeds:
+    """Every scan seed of the README and conftest family II/III couplings,
+    bit for bit."""
+
+    def test_seed_bits(self):
+        digest = hashlib.sha256()
+        counts = []
+        for family, params in (
+                ("II", README_II), ("III", README_III),
+                ("III", CouplingParams(-1.03, -1.2, -0.8, 0.0562413)),
+                ("III", CouplingParams(-1.03, -1.2, -0.53, 0.059261)),
+                ("II", CouplingParams(-5.0, 1.0, -2.41, 0.230806)),
+                ("II", CouplingParams(-5.0, 1.0, -1.1, 1.584335))):
+            seeds = grid_scan_seed(params, family,
+                                   *default_scan_ranges(family, params.alpha),
+                                   SCAN_N)
+            counts.append(len(seeds))
+            for mu, eps in seeds:
+                digest.update(f"{mu.hex()} {eps.hex()}\n".encode())
+        assert counts == [7, 74, 74, 94, 54, 7]
+        assert digest.hexdigest() == (
+            "2b32bfd14d31c9fbd2a27c51cf75d68f8545317de2d17582f77522af158f38ab")
+
+
+class TestPinnedScanSeedsInNumpy(TestPinnedScanSeeds):
+    """The same seeds from the numpy conditions, without the C library."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_conditions(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "c_library", lambda: None)
 
 
 class TestPinnedScanRecordsInNumpy(TestPinnedScanRecords):
