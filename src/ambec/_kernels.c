@@ -32,22 +32,20 @@
  * arithmetic: |W| = m 2^q from its bits, the decimal exponent from q and
  * the leading bits of m, and the 15 digits from the 192-bit product of m
  * with a 128-bit power of ten, truncated, from the table that _kernels.py
- * builds from Python's exact integers.  The product's fraction is below
- * the exact one by less than 2^-64 + 2^-73, so the rounding is certain
- * unless that fraction lies within 2 units of 2^-64 of one half.  Those
- * values (the exact ties among them), digits that round up to 1e15, inf
- * and NaN go to snprintf under a C locale: none of the 2 x 262,144 values
+ * builds from Python's exact integers and passes with each row.  The
+ * product's fraction is below the exact one by less than 2^-64 + 2^-73, so
+ * the rounding is certain unless that fraction lies within 2 units of
+ * 2^-64 of one half.  The row of such a value (the exact ties among them),
+ * of digits that round up to 1e15, of an inf or of a NaN is refused, and
+ * _kernels.py renders it with Python's "%": none of the 2 x 262,144 values
  * of the README lattices, and 0.02% of finite random bit patterns (exact
  * ties, such as 501418875679361.5).  The 64x64-bit products are formed
  * from 32-bit halves, so the file is ISO C99 and every platform with cc
  * runs the same path.
  */
-#define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
 #include <fenv.h>
-#include <locale.h>
 #include <math.h>
 #include <stdint.h>
-#include <stdio.h>
 #include <string.h>
 
 typedef struct {
@@ -198,25 +196,12 @@ static const char DIGIT_PAIRS[] =
     "8081828384858687888990919293949596979899";
 
 /* 10^k as T 2^e2, with T = hi 2^64 + lo the floor of 10^k 2^-e2 in
- * [2^127, 2^128) */
+ * [2^127, 2^128); a table of them holds 10^k for kmin <= k <= kmax at
+ * table[k - kmin], as _kernels.pow10_table builds it */
 typedef struct {
     uint64_t hi, lo;
     int64_t e2;
 } pow10_entry;
-
-/* 10^k for pow10_min <= k <= pow10_max, at pow10_table[k - pow10_min]:
- * built by _kernels.py from Python's exact integers and handed over by
- * set_pow10 before the first lattice render.  Without it g15_fast writes
- * nothing and snprintf renders every nonzero value. */
-static const pow10_entry *pow10_table;
-static long pow10_min, pow10_max;
-
-void set_pow10(const pow10_entry *table, long kmin, long kmax)
-{
-    pow10_table = table;
-    pow10_min = kmin;
-    pow10_max = kmax;
-}
 
 /* a b = *hi 2^64 + *lo, from the four products of their 32-bit halves */
 static inline void mul_64x64(uint64_t a, uint64_t b, uint64_t *hi,
@@ -235,12 +220,13 @@ static inline void mul_64x64(uint64_t a, uint64_t b, uint64_t *hi,
  * UINT64_MAX when k is not in the table.  For the k that g15_fast asks
  * for, s is in [1e14, 1e16), so the point lies 9 to 17 bits up the top
  * word of the 192-bit m T. */
-static uint64_t scaled(uint64_t m, int q, int k, uint64_t *f)
+static uint64_t scaled(const pow10_entry *table, long kmin, long kmax,
+                       uint64_t m, int q, int k, uint64_t *f)
 {
     *f = 0;
-    if (k < pow10_min || k > pow10_max)
+    if (k < kmin || k > kmax)
         return UINT64_MAX;
-    const pow10_entry *p = pow10_table + (k - pow10_min);
+    const pow10_entry *p = table + (k - kmin);
     uint64_t h1, l1, h0, l0;
     mul_64x64(m, p->hi, &h1, &l1);
     mul_64x64(m, p->lo, &h0, &l0);
@@ -255,9 +241,9 @@ static uint64_t scaled(uint64_t m, int q, int k, uint64_t *f)
     return w2 >> t;
 }
 
-/* The text "%.15g\n" of a finite, nonzero v, written at out without
- * snprintf; returns its length, at most 23, or 0 when the digits are not
- * certain.
+/* The text "%.15g\n" of a finite, nonzero v, written at out from the
+ * powers of ten of table; returns its length, at most 23, or 0 when the
+ * digits are not certain.
  *
  * v's bits give |v| = m 2^q with m in [2^63, 2^64).  With e =
  * floor(log10|v|), s = |v| 10^(14-e) lies in [1e14, 1e15) and the 15
@@ -267,15 +253,13 @@ static uint64_t scaled(uint64_t m, int q, int k, uint64_t *f)
  * than 2^-64 more.  So s - r, for r its integer part, lies in [f 2^-64,
  * (f + 1 + 2^-9) 2^-64), and s rounds to r when f < 2^63 - 1 and to r + 1
  * when f > 2^63.  Every f within 2 of 2^63 (that covers the exact ties at
- * the 15th digit) returns 0, as do digits that round up to 1e15, for
- * snprintf to decide.
+ * the 15th digit) returns 0, as do digits that round up to 1e15.
  */
-static int g15_fast(double v, char *out)
+static int g15_fast(const pow10_entry *table, long kmin, long kmax, double v,
+                    char *out)
 {
     const uint64_t P14 = 100000000000000u, P15 = 1000000000000000u;
     const uint64_t HALF = (uint64_t)1 << 63;
-    if (pow10_table == NULL)
-        return 0;
     uint64_t m;
     memcpy(&m, &v, sizeof m);
     const int be = (int)(m >> 52 & 0x7ff);
@@ -296,10 +280,10 @@ static int g15_fast(double v, char *out)
     int e = L >= 0 ? (int)(L * 1292913986 >> 48)
                    : -(int)((-L * 1292913987 + ((int64_t)1 << 48) - 1)
                             >> 48);
-    uint64_t f, r = scaled(m, q, 14 - e, &f);
+    uint64_t f, r = scaled(table, kmin, kmax, m, q, 14 - e, &f);
     if (r >= P15) { /* e was one low: s is in [1e15, 1e16) */
         e++;
-        r = scaled(m, q, 14 - e, &f);
+        r = scaled(table, kmin, kmax, m, q, 14 - e, &f);
     }
     if (f - (HALF - 2) <= 4)
         return 0;
@@ -358,66 +342,40 @@ static int g15_fast(double v, char *out)
 }
 
 /* One lattice row "<x><p_j piece><W_j>\n" for j < np, written into buf;
- * returns the bytes written, or -1 when they do not fit in cap bytes or the
- * C locale cannot be made.
+ * returns the bytes written, -1 at the first W_j it does not render, or -2
+ * when a line might not fit in cap bytes.  Nothing is written past cap.
  *
  * x is the xl-byte text of the row's x value, the p_j piece ",<p_j>," is
  * ptext[poff[j]] .. ptext[poff[j+1] - 1], and W holds the row's np values.
  * W_j is the text of Python's "%.15g" % W_j.  A zero is written directly,
  * "0" or "-0" by its sign bit, and g15_fast writes any other finite value
- * when it is sure of the digits, which needs the table set_pow10 hands
- * over; every other value (inf, NaN, a tie or near-tie at the 15th digit,
- * any value before set_pow10) goes to snprintf("%.15g") under a C locale,
- * made at the row's first such value, so the bytes never depend on
- * LC_NUMERIC, and any NaN is "nan" (printf writes "-nan" for a NaN with
- * its sign bit set).  Either way a text must leave one byte free in buf,
- * as snprintf's terminating NUL does.
+ * when it is sure of the digits, scaling by table's 10^k for kmin <= k <=
+ * kmax.  Every other value (inf, NaN, a tie or near-tie at the 15th digit)
+ * is refused, for _kernels.py to render the row with Python's "%".
  */
 long lattice_row(const char *x, long xl, const char *ptext, const long *poff,
-                 const double *W, long np, char *buf, long cap)
+                 const double *W, long np, char *buf, long cap,
+                 const pow10_entry *table, long kmin, long kmax)
 {
-    locale_t c = (locale_t)0, old = (locale_t)0;
     long len = 0;
     for (long j = 0; j < np; j++) {
         const long pl = poff[j + 1] - poff[j];
-        if (cap - len <= xl + pl) {
-            len = -1;
-            break;
-        }
+        const double w = W[j];
+        /* the W texts are at most 23 bytes */
+        if (cap - len < xl + pl + 23)
+            return -2;
         memcpy(buf + len, x, xl);
         memcpy(buf + len + xl, ptext + poff[j], pl);
         len += xl + pl;
-        const size_t room = cap - len;
-        const double w = W[j];
-        /* the texts written here are at most 23 bytes: room > 23 leaves one */
-        int k = 0;
-        if (room > 23 && w == 0.0) {
+        int k;
+        if (w == 0.0) {
             k = signbit(w) ? 3 : 2;
             memcpy(buf + len, signbit(w) ? "-0\n" : "0\n", k);
-        } else if (room > 23 && isfinite(w)) {
-            k = g15_fast(w, buf + len);
-        }
-        if (k == 0) {
-            if (c == (locale_t)0) {
-                c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
-                if (c == (locale_t)0) {
-                    len = -1;
-                    break;
-                }
-                old = uselocale(c);
-            }
-            k = isnan(w) ? snprintf(buf + len, room, "nan\n")
-                         : snprintf(buf + len, room, "%.15g\n", w);
-            if (k < 0 || (size_t)k >= room) {
-                len = -1;
-                break;
-            }
+        } else if (!isfinite(w)
+                   || !(k = g15_fast(table, kmin, kmax, w, buf + len))) {
+            return -1;
         }
         len += k;
-    }
-    if (c != (locale_t)0) {
-        uselocale(old);
-        freelocale(c);
     }
     return len;
 }

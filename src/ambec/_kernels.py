@@ -7,13 +7,13 @@ stacked field pair psi = (psi_a, psi_m) of shape (2, n).  `nonlinear_step`
 runs it as the C loop of `_kernels.c` and falls back to `numpy_step`, the
 same loop in numpy, when that cannot be built or loaded.
 `condition_parts` evaluates the conditions that `consistency`'s scan and
-Newton zero, in the same library; without it `consistency` runs
+Newton zero, in the same library, and returns None without it; the
+choice is then `consistency._condition_parts`'s, which runs
 `_numpy_condition_parts`, the reference.  `lattice_rows` renders the
-lattice rows that `manifest.write_lattice_csv` writes: in the same
-library, else by Python's `%`, the reference.  The library's renderer
-scales by the exact powers of ten of `pow10_table`, built from Python's
-integers on the first render and handed over once.  This module alone
-decides which implementation runs.
+rows that `manifest.write_lattice_csv` writes in the same library; each
+row it refuses, and every row without it, is rendered by Python's `%`,
+the reference.  The library's renderer scales by the exact powers of ten
+of `pow10_table`, built from Python's integers on the first render.
 
 The C file is compiled on the first call to `c_library` (through
 `nonlinear_step`, `condition_parts`, `lattice_rows` or `kernel_backend`),
@@ -162,7 +162,7 @@ def c_library():
                 raise
         lib = ctypes.CDLL(str(path))
         step, row = lib.nonlinear_step, lib.lattice_row
-        cond, pow10 = lib.condition_parts, lib.set_pow10
+        cond = lib.condition_parts
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     step.argtypes = ([ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
@@ -173,10 +173,9 @@ def c_library():
     cond.restype = None
     row.argtypes = [ctypes.c_char_p, ctypes.c_long, ctypes.c_char_p,
                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
-                    ctypes.c_void_p, ctypes.c_long]
+                    ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p,
+                    ctypes.c_long, ctypes.c_long]
     row.restype = ctypes.c_long
-    pow10.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long]
-    pow10.restype = None
     return lib
 
 
@@ -228,10 +227,12 @@ def condition_parts(family, params, mu, epsilon):
     return buf[2:]
 
 
+@functools.cache
 def pow10_table() -> np.ndarray:
     """10^k for each k of POW10_K, as T 2^e2 with T = hi 2^64 + lo the
     floor of 10^k 2^-e2 in [2^127, 2^128), from Python's exact integers:
-    the table the C renderer scales by."""
+    the table the C renderer scales by.  Built once, read-only; the cache
+    keeps it alive while the library reads it in place."""
     rows = []
     for k in range(POW10_K[0], POW10_K[1] + 1):
         if k >= 0:
@@ -243,18 +244,18 @@ def pow10_table() -> np.ndarray:
             t = (1 << (127 + b)) // 10 ** -k
         rows.append((t >> 64, t & (2 ** 64 - 1), e2))
     # one row is a `pow10_entry` of `_kernels.c`
-    return np.array(rows, dtype=[("hi", np.uint64), ("lo", np.uint64),
-                                 ("e2", np.int64)])
-
-
-@functools.cache
-def _set_pow10(lib) -> np.ndarray:
-    """Hands lib the pow10_table, once per library: on the first lattice
-    render, not at the build.  The cache keeps the table alive, since the
-    library reads it in place."""
-    table = pow10_table()
-    lib.set_pow10(table.ctypes.data, *POW10_K)
+    table = np.array(rows, dtype=[("hi", np.uint64), ("lo", np.uint64),
+                                  ("e2", np.int64)])
+    table.flags.writeable = False
     return table
+
+
+def _percent_rows(x_texts, p_texts, W):
+    """`lattice_rows` by Python's `%`, the reference: one call per row."""
+    # "<x>".join(pieces) is the row "<x>,<p_0>,%.15g\n<x>,<p_1>,..."
+    pieces = ["", *(f",{t},%.15g\n" for t in p_texts)]
+    for xt, row in zip(x_texts, W):
+        yield (xt.join(pieces) % tuple(row.tolist())).encode("ascii")
 
 
 def lattice_rows(x_texts, p_texts, W):
@@ -264,36 +265,32 @@ def lattice_rows(x_texts, p_texts, W):
 
     x_texts and p_texts are the coordinates as text; W is a float array of
     shape (len(x_texts), len(p_texts)), which `write_lattice_csv` checks
-    before the C library reads its rows.  The C library renders the W
-    values when it loads: zeros are written directly, an exact integer
-    path writes every value whose digits it is sure of (all the values of
-    the README lattices), and snprintf under the C locale writes the rest
-    (ties and near-ties at the 15th digit, inf and NaN).  Otherwise one
-    `%` call per row from a preformatted p template does, the reference,
-    and the row is encoded.  Both give the same bytes; the C rows are
-    copied out of one reused buffer, so nothing is decoded.
+    before the C library reads its rows.  The library writes zeros
+    directly and every other value by an exact integer path when it is
+    sure of the digits (all the values of the README lattices).
+    `_percent_rows`, the reference, renders every row without the library
+    and each row it refuses (a tie or near-tie at the 15th digit, an inf or
+    a NaN), so no byte depends on LC_NUMERIC.  The C rows are copied out of
+    one reused buffer, so nothing is decoded.
     """
     W = np.ascontiguousarray(W, dtype=float)
     n_p = len(p_texts)
     lib = c_library()
     if lib is None:
-        # "<x>".join(pieces) is the row "<x>,<p_0>,%.15g\n<x>,<p_1>,..."
-        pieces = ["", *(f",{t},%.15g\n" for t in p_texts)]
-        for xt, row in zip(x_texts, W):
-            yield (xt.join(pieces) % tuple(row.tolist())).encode("ascii")
+        yield from _percent_rows(x_texts, p_texts, W)
         return
-    _set_pow10(lib)
     pieces = [f",{t}," for t in p_texts]
     ptext = "".join(pieces).encode("ascii")
-    poff = (ctypes.c_long * (n_p + 1))(*accumulate(map(len, pieces),
-                                                   initial=0))
-    # every p piece and, per line, an x text, a W text and a newline; one
-    # byte more for snprintf's terminating NUL
-    cap = len(ptext) + n_p * (2 * _MAX_FLOAT_TEXT + 1) + 1
+    poff = (ctypes.c_long * (n_p + 1))(0, *accumulate(map(len, pieces)))
+    # every p piece and, per line, an x text, a W text and a newline
+    cap = len(ptext) + n_p * (2 * _MAX_FLOAT_TEXT + 1)
     buf = ctypes.create_string_buffer(cap)
+    table = pow10_table().ctypes.data
     for xt, row in zip(x_texts, W):
         n = lib.lattice_row(xt.encode("ascii"), len(xt), ptext, poff,
-                            row.ctypes.data, n_p, buf, cap)
-        if n < 0:
+                            row.ctypes.data, n_p, buf, cap, table, *POW10_K)
+        if n == -2:
             raise RuntimeError("a lattice row does not fit its buffer")
-        yield ctypes.string_at(buf, n)
+        # -1: a value the library does not render, so `%` renders the row
+        yield (ctypes.string_at(buf, n) if n >= 0
+               else next(_percent_rows([xt], p_texts, [row])))

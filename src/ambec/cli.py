@@ -31,6 +31,8 @@ from .manifest import (RunManifest, format_float, open_output, write_csv,
 
 def _sibling(out: str, suffix: str) -> str:
     """The path next to --out that shares its stem: rec.json -> rec<suffix>."""
+    if not pathlib.Path(out).name:  # "", "." or "/"
+        raise ConfigurationError(f"--out {out!r} names no file")
     return str(pathlib.Path(out).with_suffix("")) + suffix
 
 
@@ -42,7 +44,7 @@ def _load_record(path: str) -> SolutionRecord:
         raise ConfigurationError(f"cannot read solution file: {e}") from e
     try:
         return SolutionRecord.from_json(text)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, RecursionError) as e:
         raise ConfigurationError(f"{path} is not a solution JSON: {e}") from e
 
 

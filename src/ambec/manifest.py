@@ -31,7 +31,7 @@ TOOL_VERSION = "0.1.0"
 
 
 def format_float(v: float) -> str:
-    """15-significant-digit, locale-independent rendering."""
+    """15-significant-digit rendering, the same under any LC_NUMERIC."""
     return "%.15g" % v
 
 

@@ -412,6 +412,26 @@ class TestBadFiles:
         _assert_one_error_line(rc, capsys.readouterr().err)
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("out", [".", "", "/"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--family", "I", *FIG1, "--beta", "1"],
+        *([command, "--solution", "{rec}", "--grid-n", "64"]
+          for command in ("profile", "potential", "residual", "wigner")),
+        ["evolve", "--solution", "{rec}", "--grid-n", "64", "--t", "0.01"],
+        ["scan", *FIG1, "--mu", "-2", "--grid-n", "256"],
+    ], ids=["solve", "profile", "potential", "residual", "wigner", "evolve",
+            "scan"])
+    def test_out_without_a_file_name(self, argv, out, rec_path, tmp_path,
+                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [a.format(rec=rec_path) for a in argv]
+        where = pathlib.Path(out).resolve()
+        before = sorted(where.iterdir())
+        capsys.readouterr()
+        rc = main([*argv, "--out", out])
+        _assert_one_error_line(rc, capsys.readouterr().err)
+        assert sorted(where.iterdir()) == before
+
     @pytest.mark.parametrize("edit", [
         lambda d: [1, 2],
         lambda d: None,
@@ -441,7 +461,9 @@ class TestBadFiles:
         lambda text: json.dumps({**json.loads(text), "beta": -1}).encode(),
         lambda text: b"\xff\xfe",
         lambda text: text[:len(text) // 2].encode(),
-    ], ids=["zero-beta", "negative-beta", "not-utf8", "truncated-json"])
+        lambda text: b"[" * 200_000 + b"]" * 200_000,
+    ], ids=["zero-beta", "negative-beta", "not-utf8", "truncated-json",
+            "deeply-nested-json"])
     def test_unusable_solution_file(self, command, content, rec_path,
                                     tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,6 @@
 """The package reads the process environment in one function only,
-writes files through one opener and JSON through one writer, and calls
-LAPACK in three functions only.
+writes files through one opener and JSON through one writer, calls
+LAPACK in three functions only, and its C kernel includes four headers.
 
 Every input that changes an output is a flag, so the manifest records it.
 `_kernels._cache_dir` reads XDG_CACHE_HOME, where the compiled kernel is
@@ -8,10 +8,13 @@ kept; that path changes no output.  Every output file is opened by
 `manifest.open_output`, which fixes the encoding and line ends and maps
 OSError to exit 3, and every JSON file is written by `manifest.write_json`,
 which fixes its layout.  LAPACK's kernels are picked per CPU at run time,
-so each result that passes through one is listed here.
+so each result that passes through one is listed here.  Without
+<stdio.h> or <locale.h>, the C kernel can neither print nor read the
+locale, so no byte it writes depends on LC_NUMERIC.
 """
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -97,6 +100,17 @@ LAPACK_CALLERS = {"consistency.py": {"_newton", "_nearest_real_root"},
                   "potentials.py": {"quartic_fit"}}
 
 
+#: the only headers `_kernels.c` may include
+C_HEADERS = {"fenv.h", "math.h", "stdint.h", "string.h"}
+
+
+def _forbidden_includes(source: str) -> list[str]:
+    """Each header that a C source includes and C_HEADERS does not list."""
+    found = re.findall(r'^[ \t]*#[ \t]*include[ \t]*[<"]([^>"]*)[>"]',
+                       source, re.MULTILINE)
+    return [h for h in found if h not in C_HEADERS]
+
+
 def _is_lapack(node) -> bool:
     """np.linalg or np.roots (also as numpy.), an import of numpy.linalg,
     or a `from numpy import` of either."""
@@ -136,6 +150,19 @@ def test_lapack_called_only_where_allowed(path):
     found = {w.split(":")[0]
              for w in _found(path.read_text(encoding="utf-8"), _is_lapack)}
     assert found == LAPACK_CALLERS.get(path.name, set())
+
+
+def test_c_kernel_includes_only_allowed_headers():
+    source = (SRC / "_kernels.c").read_text(encoding="utf-8")
+    assert _forbidden_includes(source) == []
+
+
+def test_detects_a_forbidden_include():
+    source = ("#include <math.h>\n"
+              "#include <stdio.h>\n"
+              "  #  include \"locale.h\"\n"
+              "/* #include <string.h> */\n")
+    assert _forbidden_includes(source) == ["stdio.h", "locale.h"]
 
 
 def test_detects_each_form_of_read():

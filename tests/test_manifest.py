@@ -1,5 +1,6 @@
 """CSV and JSON writers: same bytes as the per-cell rule, kind contract,
 Wigner layout, JSON layout."""
+import contextlib
 import ctypes
 import json
 import math
@@ -296,8 +297,70 @@ class _PythonRenderer:
             yield
 
 
+def _refusal(v) -> int:
+    """2 when the C renderer must refuse v (an inf, a NaN, an exact tie at
+    the 15th digit, or digits that round up to 1e15), 1 when it may (the
+    fraction of v's scaled digits lies within 4 units of 2^-64 of one
+    half), 0 when it renders v.
+
+    With e = floor(log10|v|), the digits are s = |v| 10^(14-e) rounded, and
+    s is the exact fraction n / d.  The renderer's first estimate of e is
+    one low for the exact powers of ten 1e16 to 1e22, and a truncated
+    10^(15-e) scales them to just below 1e15: digits that round up to it.
+    """
+    if not math.isfinite(v):
+        return 2
+    if v == 0.0:
+        return 0
+    num, den = abs(v).as_integer_ratio()
+    e = math.floor(math.log10(abs(v)))
+    while True:  # the float estimate of e may be one off
+        k = 14 - e
+        n, d = (num * 10 ** k, den) if k >= 0 else (num, den * 10 ** -k)
+        if n < 10 ** 14 * d:
+            e -= 1
+        elif n >= 10 ** 15 * d:
+            e += 1
+        else:
+            break
+    off = abs(2 * (n % d) - d)  # 2d times the distance from one half
+    if (off == 0 or 2 * n >= (2 * 10 ** 15 - 1) * d
+            or n == 10 ** 14 * d and e > 15):
+        return 2
+    return 1 if off << 63 <= 4 * d else 0
+
+
+@contextlib.contextmanager
+def _refused_rows():
+    """The bits of each W row that `lattice_rows` hands to Python's "%"
+    inside the block."""
+    percent_rows, rows = _kernels._percent_rows, set()
+
+    def recorded(x_texts, p_texts, W):
+        rows.update(np.asarray(row).tobytes() for row in W)
+        return percent_rows(x_texts, p_texts, W)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_percent_rows", recorded)
+        yield rows
+
+
+def _check_refused(refused, W):
+    """Python's "%" rendered each row of W that holds a value the C library
+    must refuse, and no row of values it renders; without the library, it
+    rendered every row."""
+    for row in W:
+        level = max(map(_refusal, row.tolist()))
+        if _kernels.c_library() is None or level == 2:
+            assert row.tobytes() in refused, row
+        elif level == 0:
+            assert row.tobytes() not in refused, row
+
+
 def _adversarial_doubles() -> np.ndarray:
-    """102,400 doubles where "%.15g" texts are easy to get wrong."""
+    """102,400 doubles where "%.15g" texts are easy to get wrong, the
+    12,440 that the C renderer may refuse last, so that it renders every
+    row before them."""
     rng = np.random.default_rng(2026)
     edges = [0.0, -0.0, math.inf, -math.inf, math.nan,
              math.copysign(math.nan, -1.0), 1000000000000005.0,
@@ -330,7 +393,10 @@ def _adversarial_doubles() -> np.ndarray:
              ties, -ties, decimal]
     n_random = 102400 - sum(map(len, parts))
     random_bits = np.frombuffer(rng.bytes(8 * n_random), dtype=float)
-    return np.concatenate([*parts, random_bits])
+    values = np.concatenate([*parts, random_bits])
+    refusable = np.array([_refusal(v) > 0 for v in values.tolist()])
+    assert refusable.sum() == 12440
+    return np.concatenate([values[~refusable], values[refusable]])
 
 
 class _LatticeChecks:
@@ -359,35 +425,45 @@ class _LatticeChecks:
                               np.zeros(4), np.zeros(shape))
         assert not out.exists()
 
-    # 200 short rows, and 4 rows of about 1 MB of text each
+    # 200 short rows, and 4 rows of about 1 MB of text each: the C library
+    # renders the first 175 and the first 3
     @pytest.mark.parametrize("n_p", [512, 25600])
     def test_adversarial_doubles(self, csv_path, n_p):
         W = _adversarial_doubles().reshape(-1, n_p)
         x = np.arange(len(W)) * 0.5
         p = np.arange(n_p) * -0.25
-        write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W)
+        with _refused_rows() as refused:
+            write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W)
         assert csv_path.read_bytes() == _lattice_reference(x, p, W)
+        _check_refused(refused, W)
 
 
 class TestWriteLatticeCsv(_CRenderer, _LatticeChecks):
     def test_block_that_does_not_fit_is_refused(self):
-        # the x row "-0.5" and two p pieces, ",1e+300," and ",nan,"
-        poff = (ctypes.c_long * 3)(0, 8, 13)
-        W = np.array([-1.23456789012345e-308, math.nan])
-        text = b"-0.5,1e+300,-1.23456789012345e-308\n-0.5,nan,nan\n"
-        buf = ctypes.create_string_buffer(b"#" * 80, 80)
+        # the x row "-0.5" and two p pieces, ",1e+300," and ",-2,"
+        poff = (ctypes.c_long * 3)(0, 8, 12)
+        buf = ctypes.create_string_buffer(80)
 
-        def render(cap):
+        def render(values, cap):
+            ctypes.memset(buf, ord("#"), 80)
+            W = np.array(values)
             return _kernels.c_library().lattice_row(
-                b"-0.5", 4, b",1e+300,,nan,", poff, W.ctypes.data, 2, buf,
-                cap)
+                b"-0.5", 4, b",1e+300,,-2,", poff, W.ctypes.data, 2, buf,
+                cap, _kernels.pow10_table().ctypes.data, *_kernels.POW10_K)
 
-        # the text needs one byte more, for snprintf's terminating NUL
-        for cap in (0, 1, 4, 12, 13, len(text) - 1, len(text)):
-            assert render(cap) == -1
+        W = [-1.23456789012345e-308, -0.0]
+        text = b"-0.5,1e+300,-1.23456789012345e-308\n-0.5,-2,-0\n"
+        # each line must have room for its x and p texts and a 23-byte W
+        # text: 35 bytes for the first, 31 more for the second
+        for cap in (80, 66):
+            assert render(W, cap) == len(text)
+            assert buf.raw[:len(text)] == text
+        for cap in (0, 1, 4, 12, 34, 35, len(text), 65):
+            assert render(W, cap) == -2
             assert buf.raw[cap:] == b"#" * (80 - cap)
-        assert render(len(text) + 1) == len(text)
-        assert buf.raw[:len(text)] == text
+        # a value the library does not render refuses the row
+        for v in (math.nan, -math.inf, 1000000000000005.0):
+            assert render([0.5, v], 80) == -1
 
 
 class TestWriteLatticeCsvFallback(_PythonRenderer, _LatticeChecks):
@@ -484,8 +560,8 @@ class TestPow10Table:
 
 
 class TestFastPathEdges(_CRenderer):
-    """The C renderer writes "%.15g" without printf where it is sure of the
-    digits, and calls printf for the rest: both give Python's text."""
+    """The C renderer writes "%.15g" where it is sure of the digits, and
+    Python's "%" renders each row it refuses: both give Python's text."""
 
     @settings(SETTINGS, max_examples=200)
     @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
@@ -493,14 +569,20 @@ class TestFastPathEdges(_CRenderer):
     def test_random_bit_patterns(self, csv_path, bits):
         W = np.array(bits, dtype=np.uint64).view(float).reshape(1, -1)
         x, p = np.array([0.5]), np.arange(W.shape[1]) * -0.25
-        write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W)
+        with _refused_rows() as refused:
+            write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W)
         assert csv_path.read_bytes() == _lattice_reference(x, p, W)
+        _check_refused(refused, W)
 
     def test_band_edges(self, csv_path):
-        W = np.array(BAND_EDGES + [-v for v in BAND_EDGES]).reshape(2, -1)
-        x, p = np.array([1.0, -1.0]), np.arange(W.shape[1]) * 0.5
-        write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W)
+        # one value a row, so that a value the library refuses sends only
+        # itself to Python's "%": the infs, NaNs, exact ties, 1e16 and 1e22
+        W = np.array(BAND_EDGES + [-v for v in BAND_EDGES]).reshape(-1, 1)
+        x, p = np.arange(len(W)) * 0.5, np.array([0.5])
+        with _refused_rows() as refused:
+            write_lattice_csv(str(csv_path), ["x", "p", "W"], x, p, W)
         assert csv_path.read_bytes() == _lattice_reference(x, p, W)
+        _check_refused(refused, W)
 
     @pytest.mark.parametrize("v, text", [
         (1e-05, "1e-05"), (-1.5e-05, "-1.5e-05"), (0.0001, "0.0001"),
@@ -564,8 +646,9 @@ _WIGNER_IN_LOCALE = (
 
 
 class TestNumericLocale:
-    """printf follows LC_NUMERIC and Python's "%" does not: the bytes must
-    not depend on it."""
+    """Python's "%", the reference, ignores LC_NUMERIC, and the C renderer
+    writes its digits without the C library's locale: the bytes must not
+    depend on it."""
 
     def test_german_decimal_comma_keeps_bytes(self, tmp_path):
         if shutil.which("localedef") is None:

@@ -4,14 +4,20 @@ Each `ambec ...` line of the README's Command line block runs in-process
 through `cli.main`, in one directory, so the manifests point at their
 inputs by relative path as in the README.  A change that moves the bytes
 of a data file declares it in CHANGES.md and updates its hash here.
-Manifests carry a wall time, so they are not pinned.  The Library quick
-start block runs too, and its first line of output must match the digits
-its comment quotes.
+Manifests carry a wall time, so they are not pinned.  The C renderer
+hands none of the rows of the two `wigner` lattices back to Python's `%`,
+and without the library `%` renders them all, to the same bytes.  The
+Library quick start block runs too, and its first line of output must
+match the digits its comment quotes.
 """
 import hashlib
 import shlex
+import shutil
 from pathlib import Path
 
+import pytest
+
+from ambec import _kernels
 from ambec.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -66,6 +72,33 @@ def test_readme_commands_write_pinned_bytes(tmp_path, monkeypatch):
                for path in tmp_path.iterdir()
                if not path.name.endswith(".manifest.json")}
     assert written == SHA256
+
+
+@pytest.mark.parametrize("backend, refused", [("c", 0), ("python", 1024)])
+def test_readme_lattices_stay_on_the_c_renderer(backend, refused, tmp_path,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "c_library", lambda: None)
+    elif shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    else:
+        assert _kernels.c_library() is not None
+    percent_rows, rows = _kernels._percent_rows, []
+
+    def counted(x_texts, p_texts, W):
+        for row in percent_rows(x_texts, p_texts, W):
+            rows.append(len(row))
+            yield row
+
+    monkeypatch.setattr(_kernels, "_percent_rows", counted)
+    commands = readme_commands()
+    for argv in [commands[0], *(a for a in commands if a[0] == "wigner")]:
+        assert main(argv) == 0, argv
+    assert len(rows) == refused
+    for name in ("wigner.csv", "cat_w.csv"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == SHA256[name]
 
 
 def test_library_quick_start_prints_its_comment(capsys):
