@@ -32,16 +32,17 @@
  * arithmetic: |W| = m 2^q from its bits, the decimal exponent from q and
  * the leading bits of m, and the 15 digits from the 192-bit product of m
  * with a 128-bit power of ten, truncated, from the table that _kernels.py
- * builds from Python's exact integers and passes with each row.  The
- * product's fraction is below the exact one by less than 2^-64 + 2^-73, so
- * the rounding is certain unless that fraction lies within 2 units of
- * 2^-64 of one half.  The row of such a value (the exact ties among them),
- * of digits that round up to 1e15, of an inf or of a NaN is refused, and
- * _kernels.py renders it with Python's "%": none of the 2 x 262,144 values
- * of the README lattices, and 0.02% of finite random bit patterns (exact
- * ties, such as 501418875679361.5).  The 64x64-bit products are formed
- * from 32-bit halves, so the file is ISO C99 and every platform with cc
- * runs the same path.
+ * builds from Python's exact integers and passes with each row; digits
+ * that round up to 1e15 are carried to those of the next power of ten.
+ * The product's fraction is below the exact one by less than 2^-64 +
+ * 2^-73, so the rounding is certain unless that fraction lies within 2
+ * units of 2^-64 of one half.  The row of such a value (the exact ties
+ * among them), of an inf or of a NaN is refused, and _kernels.py renders
+ * it with Python's "%": none of the 2 x 262,144 values of the README
+ * lattices, and 0.02% of finite random bit patterns (exact ties, such as
+ * 501418875679361.5).  The 64x64-bit products are formed from 32-bit
+ * halves, so the file is ISO C99 and every platform with cc runs the same
+ * path.
  */
 #include <fenv.h>
 #include <math.h>
@@ -253,7 +254,10 @@ static uint64_t scaled(const pow10_entry *table, long kmin, long kmax,
  * than 2^-64 more.  So s - r, for r its integer part, lies in [f 2^-64,
  * (f + 1 + 2^-9) 2^-64), and s rounds to r when f < 2^63 - 1 and to r + 1
  * when f > 2^63.  Every f within 2 of 2^63 (that covers the exact ties at
- * the 15th digit) returns 0, as do digits that round up to 1e15.
+ * the 15th digit) returns 0.  Digits that round up to 1e15 are those of
+ * 10^(e+1): 1e14, with e one higher.  That also covers the exact powers of
+ * ten whose e was estimated one low: the truncated table scales them to
+ * just below 1e15.
  */
 static int g15_fast(const pow10_entry *table, long kmin, long kmax, double v,
                     char *out)
@@ -288,8 +292,12 @@ static int g15_fast(const pow10_entry *table, long kmin, long kmax, double v,
     if (f - (HALF - 2) <= 4)
         return 0;
     r += f > HALF;
-    if (r < P14 || r >= P15)
+    if (r < P14 || r > P15) /* r > P15: UINT64_MAX, no table entry */
         return 0;
+    if (r == P15) { /* rounded up to 10^(e+1) */
+        r = P14;
+        e++;
+    }
 
     /* the 15 digits, two at a time from each 7- and 8-digit half */
     char d[16];

@@ -2,8 +2,9 @@
 
 Every command writes deterministic data files and `main` writes the
 manifest JSON beside them; reruns with identical flags produce
-byte-identical data.  Exit codes: 0 success, 2 no root found, 3 invalid
-configuration, 4 numerical failure.
+byte-identical data.  `main` checks --out and derives the manifest path
+from it before the command does any work.  Exit codes: 0 success, 2 no
+root found, 3 invalid configuration, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import math
 import operator
+import os
 import pathlib
 import sys
 import time
@@ -30,9 +32,13 @@ from .manifest import (RunManifest, format_float, open_output, write_csv,
 
 
 def _sibling(out: str, suffix: str) -> str:
-    """The path next to --out that shares its stem: rec.json -> rec<suffix>."""
-    if not pathlib.Path(out).name:  # "", "." or "/"
-        raise ConfigurationError(f"--out {out!r} names no file")
+    """The path next to --out that shares its stem: rec.json -> rec<suffix>.
+    A ConfigurationError when --out names no file ("", ".", "/", "x/"), a
+    directory, or a file in a directory that does not exist."""
+    head, name = os.path.split(out)  # os.path.isdir raises no OSError
+    if not name or os.path.isdir(out) or not os.path.isdir(head or "."):
+        raise ConfigurationError(
+            f"--out {out!r} is not a file in an existing directory")
     return str(pathlib.Path(out).with_suffix("")) + suffix
 
 
@@ -85,7 +91,7 @@ def _check_mode(args, mode: str) -> None:
             raise ConfigurationError(f"{mode} needs {flag}")
 
 
-def cmd_solve(args) -> dict | None:
+def cmd_solve(args, manifest) -> dict | None:
     tol = args.tol
     _check_mode(args, "family I" if args.family == "I"
                 else "a --scan solve" if args.scan
@@ -115,7 +121,7 @@ def cmd_solve(args) -> dict | None:
         return {"environment": {"kernel_backend": _kernels.kernel_backend()}}
 
 
-def cmd_profile(args) -> None:
+def cmd_profile(args, manifest) -> None:
     require_finite(t=args.t)
     record, grid = _record_and_grid(args)
     fields = ansatz.sample_fields(record, grid, t=args.t)
@@ -123,30 +129,27 @@ def cmd_profile(args) -> None:
     nm = np.abs(fields.psi_m) ** 2
     rows = zip(grid.x(), fields.psi_a.real, fields.psi_a.imag,
                fields.psi_m.real, fields.psi_m.imag, na, nm)
-    write_csv(args.out,
-              ["x", "psi_a_re", "psi_a_im", "psi_m_re", "psi_m_im",
-               "n_a", "n_m"],
-              rows, _sibling(args.out, ".manifest.json"))
+    write_csv(args.out, ["x", "psi_a_re", "psi_a_im", "psi_m_re", "psi_m_im",
+                         "n_a", "n_m"], rows, manifest)
 
 
-def cmd_potential(args) -> None:
+def cmd_potential(args, manifest) -> None:
     record, grid = _record_and_grid(args)
     pair = potentials.self_consistent_potentials(record, grid)
     rows = zip(grid.x(), pair.V_a, pair.V_m, pair.phi_a, pair.phi_m)
     record_line = "record: " + json.dumps(record.to_dict())
-    write_csv(args.out, ["x", "V_a", "V_m", "phi_a", "phi_m"], rows,
-              _sibling(args.out, ".manifest.json"), comments=[record_line])
+    write_csv(args.out, ["x", "V_a", "V_m", "phi_a", "phi_m"], rows, manifest,
+              comments=[record_line])
 
 
-def cmd_residual(args) -> None:
+def cmd_residual(args, manifest) -> None:
     record, grid = _record_and_grid(args)
     r_a, r_m = potentials.eigen_residuals(record, grid)
-    write_csv(args.out, ["r_a", "r_m"], [(r_a, r_m)],
-              _sibling(args.out, ".manifest.json"))
+    write_csv(args.out, ["r_a", "r_m"], [(r_a, r_m)], manifest)
     print(f"r_a={format_float(r_a)} r_m={format_float(r_m)} -> {args.out}")
 
 
-def cmd_evolve(args) -> dict:
+def cmd_evolve(args, manifest) -> dict:
     record, grid = _record_and_grid(args)
     fields = ansatz.sample_fields(record, grid)
     cfg = dynamics.PropagatorConfig(dt=args.dt, T=args.t,
@@ -155,14 +158,14 @@ def cmd_evolve(args) -> dict:
     diags = dynamics.evolve(fields, record.params, cfg)
     names = [f.name for f in dataclasses.fields(Diagnostics)]
     write_csv(args.out, names, map(operator.attrgetter(*names), diags),
-              _sibling(args.out, ".manifest.json"))
+              manifest)
     last = diags[-1]
     print(f"evolved to t={format_float(last.t)}: drift_a={last.drift_a:.3e} "
           f"drift_m={last.drift_m:.3e} -> {args.out}")
     return {"environment": {"kernel_backend": _kernels.kernel_backend()}}
 
 
-def cmd_wigner(args) -> dict:
+def cmd_wigner(args, manifest) -> dict:
     _check_mode(args, "a --solution transform" if args.solution is not None
                 else "a transform without --solution")
     if args.solution is not None:
@@ -190,17 +193,14 @@ def cmd_wigner(args) -> dict:
     w = wigner.wigner_transform(profile, grid, p_count=args.p_count)
     metrics = wigner.phase_space_metrics(w)
 
-    write_lattice_csv(args.out, ["x", "p", "W"], w.x, w.p, w.W,
-                      _sibling(args.out, ".manifest.json"),
+    write_lattice_csv(args.out, ["x", "p", "W"], w.x, w.p, w.W, manifest,
                       comments=[f"convention: {w.convention}"])
 
     try:
         fringe = wigner.fringe_spacing(w)
     except ConfigurationError:
         fringe = None
-    payload = metrics.to_dict()
-    payload["fringe_spacing"] = fringe
-    payload["norm"] = w.norm
+    payload = {**metrics.to_dict(), "fringe_spacing": fringe, "norm": w.norm}
     metrics_path = _sibling(args.out, ".metrics.json")
     write_json(metrics_path, payload)
     print(f"W(0,0)={format_float(metrics.w00)} ratio={format_float(metrics.ratio)} "
@@ -210,7 +210,7 @@ def cmd_wigner(args) -> dict:
             "environment": {"kernel_backend": _kernels.kernel_backend()}}
 
 
-def cmd_scan(args) -> None:
+def cmd_scan(args, manifest) -> None:
     _check_mode(args, "a scan at one --mu" if args.mu is not None
                 else "a --mu-min/--mu-max scan")
     require_finite(g_a=args.g_a, g_am=args.g_am, alpha=args.alpha, mu=args.mu,
@@ -242,10 +242,8 @@ def cmd_scan(args) -> None:
         rows.append((mu, peak, ansatz.half_width_99(record),
                      potentials.flatness_metric(record, grid),
                      record.B, record.A, "ok"))
-    write_csv(args.out,
-              ["mu", "peak_density", "half_width_99", "flatness", "B", "A",
-               "status"],
-              rows, _sibling(args.out, ".manifest.json"))
+    write_csv(args.out, ["mu", "peak_density", "half_width_99", "flatness",
+                         "B", "A", "status"], rows, manifest)
     ok = sum(1 for r in rows if r[-1] == "ok")
     print(f"scan: {ok}/{len(rows)} attainable rows -> {args.out}")
 
@@ -357,13 +355,15 @@ def _show_warning(show, message, category, *rest):
 
 
 def main(argv=None) -> int:
-    """Run one command, then write its manifest beside --out.
+    """Check --out, run one command, then write its manifest beside --out.
 
-    A command returns the manifest fields only it knows, if any.  A numpy
-    overflow, division by zero or NaN ends the run with exit code 3, as
-    does a Python float overflow or division by zero; code that expects
-    non-finite values opts out with its own np.errstate.  An allocation
-    that fails (a huge --count, --scan-n or --grid-n) exits 3.
+    The manifest path is derived here only, before the command does any
+    work, so a bad --out exits 3 at once.  The command takes the path for
+    its CSV's manifest pointer and returns the manifest fields only it
+    knows, if any.  A numpy overflow, division by zero or NaN ends the run
+    with exit code 3, as does a Python float overflow or division by zero;
+    code that expects non-finite values opts out with its own np.errstate.
+    An allocation that fails (a huge --count, --scan-n or --grid-n) exits 3.
     A TruncationWarning prints one `warning:` line; other warnings pass on.
     """
     args = _parser().parse_args(argv)
@@ -371,15 +371,15 @@ def main(argv=None) -> int:
     inputs = [args.solution] if params.get("solution") is not None else []
     start = time.perf_counter()
     try:
+        manifest = _sibling(args.out, ".manifest.json")
         with np.errstate(over="raise", invalid="raise", divide="raise"), \
                 warnings.catch_warnings():
             warnings.showwarning = partial(_show_warning, warnings.showwarning)
             # looked up per call, not bound into the cached parser
-            known = globals()["cmd_" + args.command](args) or {}
-        manifest = RunManifest(args.command, params, **{
-            "inputs": inputs, "outputs": [args.out], **known})
-        manifest.duration_s = time.perf_counter() - start
-        manifest.write(_sibling(args.out, ".manifest.json"))
+            known = globals()["cmd_" + args.command](args, manifest) or {}
+        RunManifest(args.command, params, **{
+            "inputs": inputs, "outputs": [args.out], **known,
+            "duration_s": time.perf_counter() - start}).write(manifest)
     except AmbecError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

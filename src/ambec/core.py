@@ -76,8 +76,8 @@ def _finite_number(x) -> bool:
 def validate_params(params: CouplingParams, family: str) -> list[str]:
     """Return the list of violated admissibility constraints for a family.
 
-    Empty list means admissible.  Never raises: the caller decides whether a
-    violation is fatal, so a CLI can report every problem at once.
+    Empty list means admissible.  A violation never raises, so a CLI can
+    report every problem at once; an unknown family raises ConfigurationError.
     """
     if family not in FAMILIES:
         raise ConfigurationError(f"unknown family {family!r}; expected one of {FAMILIES}")

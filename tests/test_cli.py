@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambec import cli
+from ambec import ansatz, cli, consistency, dynamics, potentials, wigner
 from ambec._kernels import kernel_backend
 from ambec.ansatz import SUPERPOSED_KINDS, mu_critical
 from ambec.cli import build_parser, main
@@ -144,6 +144,13 @@ class TestSolve:
         assert [str(w.message) for w in caught] == []
         rec = SolutionRecord.from_json(out.read_text())
         assert rec.B == pytest.approx(1.3366709, rel=1e-5)
+
+    def test_scan_needs_two_points(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        rc = main(["solve", "--family", "III", *CAT3, "--scan",
+                   "--scan-n", "1", "--out", str(out)])
+        assert capsys.readouterr().err == "error: scan needs n >= 2\n"
+        assert rc == 3 and not out.exists()
 
     def test_scan_solve_empty_window(self, tmp_path):
         rc = main(["solve", "--family", "II", *CAT2, "--scan",
@@ -399,38 +406,76 @@ def _assert_one_error_line(rc, err):
     assert "Traceback" not in err
 
 
+#: a run of each command, {rec} standing for a record's path, and the
+#: function that does its work, which a bad --out must never reach
+BAD_OUT_RUNS = {
+    "solve": (["solve", "--family", "I", *FIG1, "--beta", "1"],
+              (consistency, "solve_family_I")),
+    "profile": (["profile", "--solution", "{rec}", "--grid-n", "64"],
+                (ansatz, "sample_fields")),
+    "potential": (["potential", "--solution", "{rec}", "--grid-n", "64"],
+                  (potentials, "self_consistent_potentials")),
+    "residual": (["residual", "--solution", "{rec}", "--grid-n", "64"],
+                 (potentials, "eigen_residuals")),
+    "wigner": (["wigner", "--solution", "{rec}", "--grid-n", "64"],
+               (wigner, "wigner_transform")),
+    "evolve": (["evolve", "--solution", "{rec}", "--grid-n", "64",
+                "--t", "0.01"], (dynamics, "evolve")),
+    "scan": (["scan", *FIG1, "--mu", "-2", "--grid-n", "256"],
+             (consistency, "solve_family_I")),
+}
+
+
+def _assert_bad_out_fails_first(command, out, rec_path, monkeypatch,
+                                capsys):
+    """command with --out out exits 3 with one error line before its work
+    starts, and writes nothing where --out points or beside the record."""
+    argv, (module, name) = BAD_OUT_RUNS[command]
+
+    def work(*args, **kwargs):
+        pytest.fail(f"{command} reached {name} with --out {out!r}")
+
+    monkeypatch.setattr(module, name, work)
+    target = pathlib.Path(out).resolve()
+    dirs = [rec_path.parent, target, target.parent]
+
+    def listings():
+        return [sorted(d.iterdir()) if d.is_dir() else None for d in dirs]
+
+    before = listings()
+    capsys.readouterr()
+    rc = main([*(a.format(rec=rec_path) for a in argv), "--out", str(out)])
+    _assert_one_error_line(rc, capsys.readouterr().err)
+    assert listings() == before
+
+
 class TestBadFiles:
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--family", "I", *FIG1, "--beta", "1"],
-        ["profile", "--solution", "{rec}"],
-        ["wigner", "--solution", "{rec}", "--grid-n", "64"],
-    ], ids=["solve", "profile", "wigner"])
-    def test_out_in_missing_directory(self, argv, rec_path, tmp_path, capsys):
+    @pytest.mark.parametrize("command", BAD_OUT_RUNS)
+    def test_out_in_missing_directory(self, command, rec_path, tmp_path,
+                                      monkeypatch, capsys):
         out = tmp_path / "nodir" / "out.csv"
-        argv = [a.format(rec=rec_path) for a in argv]
-        rc = main([*argv, "--out", str(out)])
-        _assert_one_error_line(rc, capsys.readouterr().err)
+        _assert_bad_out_fails_first(command, out, rec_path, monkeypatch,
+                                    capsys)
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("out", [".", "", "/"])
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--family", "I", *FIG1, "--beta", "1"],
-        *([command, "--solution", "{rec}", "--grid-n", "64"]
-          for command in ("profile", "potential", "residual", "wigner")),
-        ["evolve", "--solution", "{rec}", "--grid-n", "64", "--t", "0.01"],
-        ["scan", *FIG1, "--mu", "-2", "--grid-n", "256"],
-    ], ids=["solve", "profile", "potential", "residual", "wigner", "evolve",
-            "scan"])
-    def test_out_without_a_file_name(self, argv, out, rec_path, tmp_path,
+    # an existing directory is no file either, nor a name that ends in "/"
+    @pytest.mark.parametrize("out", [".", "", "/", "existing-dir",
+                                     "missing-dir/"])
+    @pytest.mark.parametrize("command", BAD_OUT_RUNS)
+    def test_out_without_a_file_name(self, command, out, rec_path, tmp_path,
                                      monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        argv = [a.format(rec=rec_path) for a in argv]
-        where = pathlib.Path(out).resolve()
-        before = sorted(where.iterdir())
-        capsys.readouterr()
-        rc = main([*argv, "--out", out])
-        _assert_one_error_line(rc, capsys.readouterr().err)
-        assert sorted(where.iterdir()) == before
+        (tmp_path / "existing-dir").mkdir()
+        _assert_bad_out_fails_first(command, out, rec_path, monkeypatch,
+                                    capsys)
+
+    def test_out_name_too_long(self, tmp_path, capsys):
+        # stat raises ENAMETOOLONG: the check lets it pass, the write fails
+        rc = main(["solve", "--family", "I", *FIG1, "--beta", "1",
+                   "--out", str(tmp_path / ("a" * 300))])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert err.startswith(f"error: cannot write {tmp_path}")
 
     @pytest.mark.parametrize("edit", [
         lambda d: [1, 2],
@@ -553,7 +598,7 @@ class TestWarningLines:
         assert [str(w.message) for w in caught] == []
 
     def test_other_warnings_pass_on(self, monkeypatch, tmp_path, capsys):
-        def cmd_noisy(args):
+        def cmd_noisy(args, manifest):
             warnings.warn(TruncationWarning("field cut at the edge"))
             warnings.warn(DeprecationWarning("old flag"))
 
@@ -998,6 +1043,14 @@ class TestScan:
                    "--alpha", "1.3407807929942597e+154", "--mu", "-1",
                    "--out", str(tmp_path / "scan.csv")])
         _assert_one_error_line(rc, capsys.readouterr().err)
+
+    def test_floating_point_error_in_a_row(self, tmp_path, capsys):
+        # beta = 7e-146: the row's flatness fit overflows in a power
+        rc = main(["scan", *FIG1, "--mu=-1e-290",
+                   "--out", str(tmp_path / "scan.csv")])
+        err = capsys.readouterr().err
+        _assert_one_error_line(rc, err)
+        assert err == "error: floating-point overflow encountered in power\n"
 
     @pytest.mark.parametrize("flags, flag", [
         (["--mu-min", "-8", "--mu-max", "-1"], "--mu-min"),

@@ -229,9 +229,13 @@ class TestScanSeeding:
                             eps_range=(-0.02, -0.01), n=12)
 
     def test_grid_scan_rejects_family_I(self):
+        params = CouplingParams(3.0, 2.9, -2.8, 2.0)
         with pytest.raises(ConfigurationError):
-            grid_scan_seed(CouplingParams(3.0, 2.9, -2.8, 2.0), "I",
-                           (-1.0, -0.1), (-1.0, -0.1))
+            grid_scan_seed(params, "I", (-1.0, -0.1), (-1.0, -0.1))
+        with pytest.raises(ConfigurationError):
+            solve_from_scan("I", params)
+        with pytest.raises(ConfigurationError):
+            default_scan_ranges("I", 1.0)
 
     def test_grid_scan_validates_ranges(self):
         params = CouplingParams(-5.0, 1.0, -1.1, 1.0)

@@ -1,4 +1,5 @@
 """Split-step propagation: conservation, phase evolution, reversibility."""
+import dataclasses
 import json
 import math
 import os
@@ -52,6 +53,14 @@ class TestSetupValidation:
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             PropagatorConfig(**kwargs)
+
+    def test_epsilon_required(self, fam1_record):
+        fields, _ = _fields(fam1_record, 256)
+        params = dataclasses.replace(fam1_record.params, epsilon=None)
+        with pytest.raises(ConfigurationError, match="epsilon is required"):
+            evolve(fields, params, PropagatorConfig(dt=1e-3, T=1e-2))
+        with pytest.raises(ConfigurationError, match="epsilon is required"):
+            mean_field_energy(fields, params)
 
     def test_kinetic_wrap_guard(self, fam1_record):
         fields, _ = _fields(fam1_record, 4096)

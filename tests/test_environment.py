@@ -1,16 +1,21 @@
 """The package reads the process environment in one function only,
-writes files through one opener and JSON through one writer, calls
-LAPACK in three functions only, and its C kernel includes four headers.
+writes files through one opener and its JSON files but the solution
+record through one writer, calls LAPACK in three functions only, derives
+the manifest path in `cli.main` only, and its C kernel includes four
+headers.
 
 Every input that changes an output is a flag, so the manifest records it.
 `_kernels._cache_dir` reads XDG_CACHE_HOME, where the compiled kernel is
 kept; that path changes no output.  Every output file is opened by
 `manifest.open_output`, which fixes the encoding and line ends and maps
-OSError to exit 3, and every JSON file is written by `manifest.write_json`,
-which fixes its layout.  LAPACK's kernels are picked per CPU at run time,
-so each result that passes through one is listed here.  Without
-<stdio.h> or <locale.h>, the C kernel can neither print nor read the
-locale, so no byte it writes depends on LC_NUMERIC.
+OSError to exit 3.  `json.dump` runs only in `manifest.write_json`, which
+fixes the layout of the manifests and metrics; `cli.cmd_solve` writes the
+record's `SolutionRecord.to_json` text, with its own key order and full
+precision.  `main` derives the manifest path from --out before the
+command runs, so a bad --out fails before any work.  LAPACK's kernels are
+picked per CPU at run time, so each result that passes through one is
+listed here.  Without <stdio.h> or <locale.h>, the C kernel can neither
+print nor read the locale, so no byte it writes depends on LC_NUMERIC.
 """
 import ast
 import pathlib
@@ -130,6 +135,15 @@ def _environment_reads(source: str) -> list[str]:
     return _found(source, _is_environment_read)
 
 
+def _is_manifest_path(node) -> bool:
+    """A call `_sibling(..., ".manifest.json")`, the suffix by position or
+    keyword."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_sibling"
+            and any(isinstance(a, ast.Constant) and a.value == ".manifest.json"
+                    for a in [*node.args, *(k.value for k in node.keywords)]))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_environment_read_only_where_allowed(path):
     reads = _environment_reads(path.read_text(encoding="utf-8"))
@@ -150,6 +164,23 @@ def test_lapack_called_only_where_allowed(path):
     found = {w.split(":")[0]
              for w in _found(path.read_text(encoding="utf-8"), _is_lapack)}
     assert found == LAPACK_CALLERS.get(path.name, set())
+
+
+def test_manifest_path_derived_only_in_main():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert [w.split(":")[0] for w in _found(source, _is_manifest_path)] == [
+        "main"]
+
+
+def test_detects_a_manifest_path_outside_main():
+    source = ("def cmd_profile(args, manifest):\n"
+              "    write_csv(args.out, [], [], _sibling(args.out,\n"
+              "                                         '.manifest.json'))\n"
+              "def cmd_wigner(args, manifest):\n"
+              "    return _sibling(args.out, '.metrics.json')\n"
+              "def main(argv=None):\n"
+              "    path = _sibling(out=args.out, suffix='.manifest.json')\n")
+    assert _found(source, _is_manifest_path) == ["cmd_profile:2", "main:7"]
 
 
 def test_c_kernel_includes_only_allowed_headers():

@@ -193,6 +193,17 @@ class TestBatchedNewton:
         assert set(shapes[1::2]) == {(2, 4)}, shapes
         assert set(shapes[2::2]) == {(2, _MAX_HALVINGS)}, shapes
 
+    def test_iteration_cap(self):
+        # Newton on (mu^2, epsilon^2) halves v at each step, so from 1e50
+        # the 100 iterations end near 1e20, still improving
+        def parts(V):
+            sq = V * V
+            return sq[0], sq[1], np.abs(sq[0]), np.abs(sq[1])
+
+        kind, text = _same_as_reference(parts, (1e50, 1e50))
+        assert kind == "ConvergenceError"
+        assert text.startswith("no convergence in 100 iterations; ")
+
     def test_stack_is_evaluated_column_by_column(self):
         family, params, (mu, eps) = ROOTS[3]
         V = np.array([[mu, mu * 1.5, mu * 0.5], [eps, -eps, 3.0 * eps]])
